@@ -9,7 +9,6 @@ import json
 import sys
 
 import click
-import numpy as np
 
 from . import __version__
 from .haar import (
@@ -33,13 +32,13 @@ from .model import (
 from .moments import (
     MomentData,
     cyclic_moment,
-    moment_via_quotient,
     monotone_moment,
+    quotient_check,
     sign_pattern_check,
 )
 from .reports import canonical_json, emit_report, render_csv, write_text
 from .sampling import random_alternating_poly, random_model_spec, stream
-from .words import MissingMomentError, ParseError, quotient_map_with_remainder
+from .words import MissingMomentError, ParseError
 
 
 def _fail(exc) -> "click.UsageError":
@@ -82,8 +81,8 @@ def _floats(text: str) -> list[float]:
         raise _fail(exc)
 
 
-def _emit(report, fmt: str, output) -> None:
-    text = emit_report(report, fmt)
+def _emit(text: str, output) -> None:
+    """Write ``text`` to ``output`` when given, else echo it to stdout."""
     if output:
         write_text(output, text)
         click.echo(f"wrote {output}")
@@ -105,7 +104,7 @@ def main():
 def example(eigenvalues, fmt, output):
     """Spectra of the worked-example pair X = a + bab, Y = ab + ba."""
     pair = build_example_pair(_floats(eigenvalues))
-    _emit(pair, fmt, output)
+    _emit(emit_report(pair, fmt), output)
     if not pair.ok:
         click.echo("eigenvalues deviate from the expected pattern", err=True)
         sys.exit(1)
@@ -150,7 +149,7 @@ def _verify_command(kind):
             report = runner(spec, data, k_max=k_max, rtol=tolerance)
         except (MissingMomentError, ValueError) as exc:
             raise _fail(exc)
-        _emit(report, fmt, output)
+        _emit(emit_report(report, fmt), output)
         if not report.passed:
             click.echo(f"max residual {report.max_residual:.3e}", err=True)
             sys.exit(1)
@@ -189,44 +188,20 @@ def verify_quotient(spec_path, count, right_factors, seed, tolerance, output):
             rng = stream(seed, 0xC0DE, i)
             spec = random_model_spec(rng)
             tasks.append((i, spec.poly, spec.moment_data()))
-    header = ("index", "check", "residual", "pass")
     rows = []
-    all_ok = True
     try:
         for i, poly, data in tasks:
-            for kind, direct in (
-                ("cyclic", cyclic_moment),
-                ("monotone", monotone_moment),
-            ):
-                got = moment_via_quotient(poly, data, kind)
-                want = direct(poly, data)
-                residual = abs(got - want)
-                ok = residual <= tolerance * (1.0 + abs(want))
-                rows.append((i, kind, residual, ok))
-                all_ok = all_ok and ok
-            _, remainder = quotient_map_with_remainder(poly, data.b_table)
-            worst = 0.0
             rng = stream(seed, 0xFAC7, i)
-            for _ in range(right_factors if remainder else 0):
-                y = random_alternating_poly(rng, data.p, data.q)
-                xy = remainder * y
-                worst = max(
-                    worst,
-                    abs(cyclic_moment(xy, data)),
-                    abs(monotone_moment(xy, data)),
-                )
-            ok = worst <= tolerance
-            rows.append((i, "annihilation", worst, ok))
-            all_ok = all_ok and ok
+            rights = (
+                random_alternating_poly(rng, data.p, data.q)
+                for _ in range(right_factors)
+            )
+            for check, residual, ok in quotient_check(poly, data, rights, tolerance):
+                rows.append((i, check, residual, ok))
     except (MissingMomentError, ValueError) as exc:
         raise _fail(exc)
-    text = render_csv(header, rows)
-    if output:
-        write_text(output, text)
-        click.echo(f"wrote {output}")
-    else:
-        click.echo(text, nl=False)
-    if not all_ok:
+    _emit(render_csv(("index", "check", "residual", "pass"), rows), output)
+    if not all(ok for *_, ok in rows):
         sys.exit(1)
 
 
@@ -250,11 +225,12 @@ def limits(spec_path, k, n_text, l_text, tolerance, fmt, output):
     try:
         report = limit_sweep(spec, k, n_list, l_list, tol=tolerance)
         data = spec.moment_data()
-        sym_cyclic = cyclic_moment(spec.poly**k, data)
-        sym_monotone = monotone_moment(spec.poly**k, data)
+        pk = spec.poly**k
+        sym_cyclic = cyclic_moment(pk, data)
+        sym_monotone = monotone_moment(pk, data)
     except (MissingMomentError, ValueError) as exc:
         raise _fail(exc)
-    _emit(report, fmt, output)
+    _emit(emit_report(report, fmt), output)
     agree = (
         abs(report.cyclic_value - sym_cyclic) <= 1e-10 * (1.0 + abs(sym_cyclic))
         and abs(report.monotone_value - sym_monotone)
@@ -280,7 +256,7 @@ def tables(moments_path, fmt, output):
         report = sign_pattern_check(data)
     except (MissingMomentError, ValueError) as exc:
         raise _fail(exc)
-    _emit(report, fmt, output)
+    _emit(emit_report(report, fmt), output)
     if not report.ok:
         sys.exit(1)
 
@@ -344,18 +320,8 @@ def haar(word, n_text, l_rule, trials, seed, family_path, drop_leading_trace,
     failures = report.bound_failures(frozen)
     lo, hi = _floats(slope_window)
     slope_ok = fit.slope_in(lo, hi)
-    text = emit_report(report, "csv")
-    if output:
-        write_text(output, text)
-        click.echo(f"wrote {output}")
-    else:
-        click.echo(text, nl=False)
-    fit_text = emit_report(fit, "json")
-    if fit_output:
-        write_text(fit_output, fit_text)
-        click.echo(f"wrote {fit_output}")
-    else:
-        click.echo(fit_text, nl=False)
+    _emit(emit_report(report, "csv"), output)
+    _emit(emit_report(fit, "json"), fit_output)
     click.echo(
         f"c_rate={frozen:.6g} bound_failures={failures} "
         f"slope={fit.slope:.3f} band=({fit.band[0]:.3f},{fit.band[1]:.3f})"

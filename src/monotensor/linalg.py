@@ -35,15 +35,6 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner dimensions do not match: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def trace(m) -> complex:
     m = _require_square(m, "trace")
     return complex(np.trace(m))

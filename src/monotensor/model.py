@@ -13,6 +13,7 @@ between the two iterated limits.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ from .moments import (
 )
 from .words import CenteredRun, Letter, NCPolynomial
 
-#: Largest model dimension n * 2^q a spec may request by default.
+#: Largest model dimension n * 2^q a spec may request.
 DIM_CAP = 4096
 
 #: Largest polynomial power evaluate_state accepts.
@@ -63,7 +64,6 @@ class ModelSpec:
     q: int
     a_matrices: tuple
     poly: NCPolynomial
-    dim_cap: int = DIM_CAP
 
     def __post_init__(self):
         if self.n < 1:
@@ -84,9 +84,9 @@ class ModelSpec:
             raise ValueError(
                 f"a-matrices of dimension {base} do not fit in n={self.n}"
             )
-        if self.n * 2**self.q > self.dim_cap:
+        if self.n * 2**self.q > DIM_CAP:
             raise ValueError(
-                f"model dimension {self.n * 2 ** self.q} exceeds cap {self.dim_cap}"
+                f"model dimension {self.n * 2 ** self.q} exceeds cap {DIM_CAP}"
             )
         if self.poly.max_letter_index("A") > len(mats):
             raise ValueError("polynomial uses an a-index with no matrix")
@@ -156,13 +156,12 @@ def _atom_matrix(atom, a_reps, b_reps, dim: int) -> np.ndarray:
         raise TypeError(f"not a word atom: {atom!r}")
     if atom.algebra == "A":
         return a_reps[atom.index - 1]
-    # A centered b-letter maps to the same matrix: the generators of the
-    # model are trace-free, so centering subtracts zero.
     return b_reps[atom.index - 1]
 
 
 def matrix_power(m: np.ndarray, k: int) -> np.ndarray:
-    if not isinstance(k, int) or not 1 <= k <= POWER_CAP:
+    if isinstance(k, bool) or not hasattr(k, "__index__") \
+            or not 1 <= operator.index(k) <= POWER_CAP:
         raise ValueError(f"power k must be an integer in 1..{POWER_CAP}, got {k}")
     acc = m
     for _ in range(k - 1):
@@ -389,12 +388,6 @@ def build_example_pair(eigenvalues=(0.5, 0.25, 0.125)) -> ExamplePair:
     )
 
 
-def example_eigenvalues(eigenvalues=(0.5, 0.25, 0.125)):
-    """Sorted spectra of the worked-example pair (X, Y)."""
-    pair = build_example_pair(eigenvalues)
-    return pair.x_eigenvalues, pair.y_eigenvalues
-
-
 # -- JSON loading -----------------------------------------------------------
 
 
@@ -426,5 +419,4 @@ def model_spec_from_json_obj(obj: dict) -> ModelSpec:
         q=int(obj["q"]),
         a_matrices=tuple(mats),
         poly=poly,
-        dim_cap=int(obj.get("dim_cap", DIM_CAP)),
     )

@@ -11,10 +11,11 @@ a-letter:
 * the monotone functional factors every run separately, leading and
   trailing included.
 
-Both functionals also factor through the quotient record produced by
+The two share one evaluation loop and differ only in that wrap.  Both
+also factor through the quotient record produced by
 :func:`monotensor.words.quotient_map`; :func:`moment_via_quotient`
-evaluates along that route, which is the cross-check used throughout
-the test-suite.
+evaluates along that route, which is the oracle used throughout the
+test-suite, and :func:`quotient_check` compares the two routes.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ from .words import (
     a as a_letter,
     expand_run,
     quotient_map,
+    quotient_map_with_remainder,
     split_runs,
 )
 
@@ -111,9 +113,6 @@ class BMomentTable:
             raise MissingMomentError(
                 f"no stored moment for b-run {run}; extend the table"
             ) from None
-
-    def mean(self, j: int) -> complex:
-        return self.value((j,))
 
 
 class AFamilyMoments:
@@ -217,10 +216,6 @@ class MomentData:
         }
 
 
-def a_moment(data: MomentData, indices) -> complex:
-    return data.a_moments.moment(indices)
-
-
 def run_mean(run, table: BMomentTable) -> complex:
     """State value of a b-run that may contain centered atoms."""
     total = 0.0 + 0.0j
@@ -229,38 +224,36 @@ def run_mean(run, table: BMomentTable) -> complex:
     return total
 
 
-def _word_runs(word):
-    a_indices, runs = split_runs(word)
-    if not a_indices:
-        raise IdealMembershipError(
-            f"word without a-letters has no moment here: {word!r}"
-        )
-    return a_indices, runs
+def _factorized_moment(p: NCPolynomial, data: MomentData, wrap: bool) -> complex:
+    """Weight of each word's a-letters times the state of each of its b-runs.
 
-
-def cyclic_moment(p: NCPolynomial, data: MomentData) -> complex:
-    """Cyclic functional: inner runs factor, trailing wraps onto leading."""
+    With ``wrap`` the trailing run is joined onto the leading one inside
+    a single state value; without it the two factor separately.
+    """
     total = 0.0 + 0.0j
     for word, coeff in p.terms.items():
-        a_indices, runs = _word_runs(word)
-        value = data.a_moments.moment(a_indices)
-        for run in runs[1:-1]:
-            value *= run_mean(run, data.b_table)
-        value *= run_mean(runs[-1] + runs[0], data.b_table)
-        total += coeff * value
-    return total
-
-
-def monotone_moment(p: NCPolynomial, data: MomentData) -> complex:
-    """Monotone functional: every run factors separately."""
-    total = 0.0 + 0.0j
-    for word, coeff in p.terms.items():
-        a_indices, runs = _word_runs(word)
+        a_indices, runs = split_runs(word)
+        if not a_indices:
+            raise IdealMembershipError(
+                f"word without a-letters has no moment here: {word!r}"
+            )
+        if wrap:
+            runs = runs[1:-1] + [runs[-1] + runs[0]]
         value = data.a_moments.moment(a_indices)
         for run in runs:
             value *= run_mean(run, data.b_table)
         total += coeff * value
     return total
+
+
+def cyclic_moment(p: NCPolynomial, data: MomentData) -> complex:
+    """Cyclic functional: inner runs factor, trailing wraps onto leading."""
+    return _factorized_moment(p, data, wrap=True)
+
+
+def monotone_moment(p: NCPolynomial, data: MomentData) -> complex:
+    """Monotone functional: every run factors separately."""
+    return _factorized_moment(p, data, wrap=False)
 
 
 def moment_via_quotient(p: NCPolynomial, data: MomentData, kind: str) -> complex:
@@ -284,6 +277,37 @@ def moment_via_quotient(p: NCPolynomial, data: MomentData, kind: str) -> complex
             if weight != 0.0:
                 total += coeff * data.a_moments.moment(a_word) * weight
     return total
+
+
+def quotient_check(p: NCPolynomial, data: MomentData, rights,
+                   tol: float) -> list[tuple[str, float, bool]]:
+    """Check that both functionals factor through the quotient of ``p``.
+
+    Returns ``(check, residual, passed)`` rows.  The ``cyclic`` and
+    ``monotone`` rows hold ``|quotient route - direct evaluator|``, which
+    passes at or below ``tol * (1 + |direct|)``.  The ``annihilation``
+    row holds the largest modulus either functional takes on a dropped
+    monomial of ``p`` (coefficient 1) times a right factor from
+    ``rights``; it passes at or below ``tol``.  ``rights`` is drawn from
+    only when ``p`` drops a monomial.
+    """
+    rows = []
+    for kind, direct in (("cyclic", cyclic_moment), ("monotone", monotone_moment)):
+        want = direct(p, data)
+        residual = abs(moment_via_quotient(p, data, kind) - want)
+        rows.append((kind, residual, residual <= tol * (1.0 + abs(want))))
+    _, remainder = quotient_map_with_remainder(p, data.b_table)
+    worst = 0.0
+    if remainder:
+        rights = list(rights)
+        for word, _ in remainder.sorted_terms():
+            dropped = NCPolynomial.from_word(word)
+            for y in rights:
+                xy = dropped * y
+                worst = max(worst, abs(cyclic_moment(xy, data)),
+                            abs(monotone_moment(xy, data)))
+    rows.append(("annihilation", worst, worst <= tol))
+    return rows
 
 
 # -- sign patterns of the low-degree mixed words -------------------------

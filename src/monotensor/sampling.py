@@ -54,11 +54,6 @@ def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> 
     return scale * (g + g.conj().T) / 2.0
 
 
-def random_psd(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = complex_gaussians(rng, (dim, dim))
-    return (g.conj().T @ g) / dim
-
-
 def random_coeff(rng: np.random.Generator) -> complex:
     """Uniform on the unit disc (modulus at most 1)."""
     return np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())

@@ -8,21 +8,19 @@ either single letters or *centered runs*: a centered run stands for a
 product of b-generators minus its mean times the unit, which is the
 normal form produced by :func:`center_expand`.
 
-Polynomials are dictionaries word -> complex coefficient with absolute
-pruning at ``COEFF_EPS``.  The quotient map sends a polynomial whose
-every word contains at least one a-letter to its record in the quotient
-by the ideal that both moment functionals annihilate: the words that
-keep two or more separated a-runs after centering are dropped, the rest
-are classified by their leading/trailing centered runs.
+Polynomials are dictionaries word -> complex coefficient; only exact
+zeros are pruned, so every operation is linear at any scale.  The
+quotient map sends a polynomial whose every word contains at least one
+a-letter to its record in the quotient by the ideal that both moment
+functionals annihilate: the words that keep two or more separated
+a-runs after centering are dropped, the rest are classified by their
+leading/trailing centered runs.
 """
 from __future__ import annotations
 
-import json
+import operator
 import re
 from dataclasses import dataclass, field
-
-#: Coefficients with modulus at or below this are pruned after arithmetic.
-COEFF_EPS = 1e-15
 
 
 class IdealMembershipError(ValueError):
@@ -38,29 +36,22 @@ class Letter:
     """A single generator: ``a<index>`` or ``b<index>``.
 
     ``b0`` denotes the unit of the b family and is absorbed during word
-    normalization.  ``centered`` marks a b-letter with its mean removed.
+    normalization.  A centered b-letter is the run ``CenteredRun((j,))``.
     """
 
     algebra: str
     index: int
-    centered: bool = False
 
     def __post_init__(self):
         if self.algebra not in ("A", "B"):
             raise ValueError(f"algebra must be 'A' or 'B', got {self.algebra!r}")
         if self.index < 0:
             raise ValueError("letter index must be non-negative")
-        if self.algebra == "A":
-            if self.index < 1:
-                raise ValueError("a-letters are indexed from 1")
-            if self.centered:
-                raise ValueError("only b-letters can be centered")
-        if self.algebra == "B" and self.index == 0 and self.centered:
-            raise ValueError("the unit b0 cannot be centered")
+        if self.algebra == "A" and self.index < 1:
+            raise ValueError("a-letters are indexed from 1")
 
     def __str__(self) -> str:
-        mark = "°" if self.centered else ""
-        return f"{self.algebra.lower()}{self.index}{mark}"
+        return f"{self.algebra.lower()}{self.index}"
 
 
 @dataclass(frozen=True)
@@ -100,8 +91,8 @@ def b(j: int) -> "NCPolynomial":
 
 
 def b_centered(j: int) -> "NCPolynomial":
-    """Single centered b-letter as a polynomial."""
-    return NCPolynomial({(Letter("B", j, centered=True),): 1.0})
+    """Single centered b-letter, the run ``CenteredRun((j,))``, as a polynomial."""
+    return NCPolynomial({(CenteredRun((j,)),): 1.0})
 
 
 def normalize_word(letters) -> Word:
@@ -118,8 +109,8 @@ def normalize_word(letters) -> Word:
 
 def _atom_sort_key(atom: Atom):
     if isinstance(atom, Letter):
-        return (atom.algebra, atom.index, atom.centered)
-    return ("R", atom.indices, False)
+        return (atom.algebra, atom.index)
+    return ("R", atom.indices)
 
 
 def _word_sort_key(word: Word):
@@ -143,7 +134,7 @@ class NCPolynomial:
             w = normalize_word(word)
             c = collected.get(w, 0.0) + complex(coeff)
             collected[w] = c
-        self.terms = {w: c for w, c in collected.items() if abs(c) > COEFF_EPS}
+        self.terms = {w: c for w, c in collected.items() if c != 0}
 
     # -- constructors -------------------------------------------------
 
@@ -241,7 +232,7 @@ class NCPolynomial:
         return NotImplemented
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
+        if isinstance(k, bool) or not hasattr(k, "__index__") or operator.index(k) < 0:
             raise ValueError("polynomial powers take a non-negative integer")
         out = NCPolynomial.one()
         for _ in range(k):
@@ -290,9 +281,6 @@ class NCPolynomial:
             )
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
     @classmethod
     def from_json_obj(cls, obj) -> "NCPolynomial":
         terms: dict[Word, complex] = {}
@@ -303,22 +291,8 @@ class NCPolynomial:
         return cls(terms)
 
     @classmethod
-    def from_json(cls, text: str) -> "NCPolynomial":
-        return cls.from_json_obj(json.loads(text))
-
-    @classmethod
     def parse(cls, text: str) -> "NCPolynomial":
         return parse_polynomial(text)
-
-
-def poly_mul(p: NCPolynomial, r: NCPolynomial) -> NCPolynomial:
-    return p * r
-
-
-def poly_pow(p: NCPolynomial, k: int) -> NCPolynomial:
-    if k < 1:
-        raise ValueError("poly_pow expects k >= 1")
-    return p**k
 
 
 def poly_isclose(p: NCPolynomial, r: NCPolynomial, tol: float = 1e-12) -> bool:
@@ -335,8 +309,6 @@ def _format_coeff(c: complex) -> str:
 def _atom_to_json(atom: Atom) -> list:
     if isinstance(atom, CenteredRun):
         return ["Bc", list(atom.indices)]
-    if atom.centered:
-        return ["B", atom.index, True]
     return [atom.algebra, atom.index]
 
 
@@ -344,8 +316,12 @@ def _atom_from_json(entry) -> Atom:
     tag = entry[0]
     if tag == "Bc":
         return CenteredRun(tuple(int(j) for j in entry[1]))
-    centered = bool(entry[2]) if len(entry) > 2 else False
-    return Letter(tag, int(entry[1]), centered)
+    if len(entry) > 2 and entry[2]:
+        # The centered-letter form ["B", j, true] reads as ["Bc", [j]].
+        if tag != "B":
+            raise ValueError("only b-letters can be centered")
+        return CenteredRun((int(entry[1]),))
+    return Letter(tag, int(entry[1]))
 
 
 # -- parsing ------------------------------------------------------------
@@ -446,26 +422,16 @@ def split_runs(word: Word):
 def expand_run(run, table) -> list[tuple[tuple[int, ...], complex]]:
     """Expand a b-run with centered atoms into plain runs with weights.
 
-    Each centered letter contributes (letter - mean * unit) and each
-    centered run (product - mean * unit); multiplying out yields a list
-    of ``(plain_index_tuple, coefficient)`` pairs.  ``table`` must
-    provide ``value(indices) -> complex``.
+    Each centered run contributes (product - mean * unit); multiplying
+    out yields a list of ``(plain_index_tuple, coefficient)`` pairs.
+    ``table`` must provide ``value(indices) -> complex``.
     """
     parts: list[tuple[tuple[int, ...], complex]] = [((), 1.0)]
     for atom in run:
         if isinstance(atom, Letter):
             if atom.algebra != "B":
                 raise ValueError("expand_run expects b-atoms only")
-            if not atom.centered:
-                parts = [(w + (atom.index,), c) for w, c in parts]
-            else:
-                mean = table.value((atom.index,))
-                nxt = []
-                for w, c in parts:
-                    nxt.append((w + (atom.index,), c))
-                    if mean != 0.0:
-                        nxt.append((w, -c * mean))
-                parts = nxt
+            parts = [(w + (atom.index,), c) for w, c in parts]
         elif isinstance(atom, CenteredRun):
             mean = table.value(atom.indices)
             nxt = []
@@ -479,7 +445,7 @@ def expand_run(run, table) -> list[tuple[tuple[int, ...], complex]]:
     collected: dict[tuple[int, ...], complex] = {}
     for w, c in parts:
         collected[w] = collected.get(w, 0.0) + c
-    return [(w, c) for w, c in collected.items() if abs(c) > COEFF_EPS]
+    return [(w, c) for w, c in collected.items() if c != 0]
 
 
 def center_expand(p: NCPolynomial, table) -> NCPolynomial:
@@ -508,7 +474,7 @@ def center_expand(p: NCPolynomial, table) -> NCPolynomial:
                 mean = table.value(plain)
                 if mean != 0.0:
                     unit_weight += c * mean
-            if abs(unit_weight) > COEFF_EPS:
+            if unit_weight != 0:
                 alts.append((None, unit_weight))
             options.append(alts)
 
@@ -547,11 +513,6 @@ class QuotientElement:
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return all(all(abs(c) <= tol for c in part.values()) for part in self.parts())
-
-    def scaled(self, factor: complex) -> "QuotientElement":
-        return QuotientElement(
-            *({k: v * factor for k, v in part.items()} for part in self.parts())
-        )
 
     def added(self, other: "QuotientElement") -> "QuotientElement":
         out = []

@@ -34,11 +34,11 @@ from monotensor.moments import (
     MomentData,
     cyclic_moment,
     moment_via_quotient,
-    monotone_moment,
+    quotient_check,
     sign_pattern_check,
 )
 from monotensor.sampling import random_alternating_poly, random_model_spec, stream
-from monotensor.words import NCPolynomial, a, b, quotient_map_with_remainder
+from monotensor.words import NCPolynomial, a, b
 
 SEED = 20260819
 
@@ -104,34 +104,20 @@ def test_criterion_4_quotient_routes(random_specs):
     t0 = time.monotonic()
     worst_route = 0.0
     worst_annihilation = 0.0
-    monomials = 0
+    failed = 0
     for i, (spec, data) in enumerate(random_specs):
-        poly = spec.poly
-        for kind, direct in (("cyclic", cyclic_moment), ("monotone", monotone_moment)):
-            got = moment_via_quotient(poly, data, kind)
-            want = direct(poly, data)
-            worst_route = max(
-                worst_route, abs(got - want) / (1.0 + abs(want))
-            )
-        _, remainder = quotient_map_with_remainder(poly, data.b_table)
-        if not remainder:
-            continue
         rng = stream(SEED, 0xFAC7, i)
-        rights = [random_alternating_poly(rng, data.p, data.q) for _ in range(50)]
-        for word, coeff in remainder.sorted_terms():
-            monomials += 1
-            dropped = NCPolynomial.from_word(word)
-            for y in rights:
-                xy = dropped * y
-                worst_annihilation = max(
-                    worst_annihilation,
-                    abs(cyclic_moment(xy, data)),
-                    abs(monotone_moment(xy, data)),
-                )
+        rights = (random_alternating_poly(rng, data.p, data.q) for _ in range(50))
+        for check, residual, passed in quotient_check(spec.poly, data, rights, 1e-10):
+            failed += 0 if passed else 1
+            if check == "annihilation":
+                worst_annihilation = max(worst_annihilation, residual)
+            else:
+                worst_route = max(worst_route, residual)
     elapsed = time.monotonic() - t0
-    ok = worst_route <= 1e-10 and worst_annihilation <= 1e-10
-    _line(4, ok, f"route residual {worst_route:.2e} (tol 1e-10), "
-                 f"{monomials} dropped monomials x 50 right factors, worst "
+    ok = failed == 0
+    _line(4, ok, f"route residual {worst_route:.2e} (tol 1e-10*(1+|value|)), "
+                 f"every dropped monomial x 50 right factors, worst "
                  f"|value| {worst_annihilation:.2e} (tol 1e-10), {elapsed:.1f}s")
     assert ok
 

@@ -113,9 +113,9 @@ def test_matrix_json_shape_mismatch():
 def test_flip_conjugation_moves_corner_unit():
     flip = np.array([[0.0, 1.0], [1.0, 0.0]])
     e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
-    moved = linalg.matmul(linalg.matmul(flip, e11), flip)
+    moved = flip @ e11 @ flip
     assert np.array_equal(moved, np.array([[0.0, 0.0], [0.0, 1.0]]))
-    assert np.array_equal(linalg.matmul(moved, e11), np.zeros((2, 2)))
+    assert np.array_equal(moved @ e11, np.zeros((2, 2)))
 
 
 def test_traces_of_reference_matrix():

@@ -11,7 +11,6 @@ from monotensor.model import (
     build_model,
     corner_unit,
     evaluate_state,
-    example_eigenvalues,
     flip_factor,
     limit_sweep,
     matrix_power,
@@ -62,9 +61,6 @@ def test_example_pair_spectra():
     assert pair.ok
     assert np.max(np.abs(pair.x_eigenvalues - ref.X_SPECTRUM)) <= 1e-12
     assert np.max(np.abs(pair.y_eigenvalues - ref.Y_SPECTRUM)) <= 1e-12
-    ex, ey = example_eigenvalues(ref.EIGS)
-    assert np.array_equal(ex, pair.x_eigenvalues)
-    assert np.array_equal(ey, pair.y_eigenvalues)
 
 
 def test_example_pair_other_eigenvalues():
@@ -148,6 +144,10 @@ def test_matrix_power_bounds():
         matrix_power(m, 0)
     with pytest.raises(ValueError):
         matrix_power(m, 33)
+    assert np.array_equal(matrix_power(m, np.int64(2)), m)
+    for bad in (True, 2.0, np.int64(33)):
+        with pytest.raises(ValueError):
+            matrix_power(m, bad)
 
 
 def test_verify_reports_pass_on_example():
@@ -242,7 +242,8 @@ def test_model_spec_json_forms():
         model_spec_from_json_obj({"n": 2, "q": 1, "poly": "a1"})
     with pytest.raises(ParseError):
         model_spec_from_json_obj({**obj, "poly": "a1 +"})
-    assert spec.dim_cap == DIM_CAP
+    with pytest.raises(ValueError, match="exceeds cap"):
+        model_spec_from_json_obj({**obj, "n": DIM_CAP})
 
 
 def test_q_zero_model_is_plain_polynomial():

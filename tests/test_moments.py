@@ -14,6 +14,7 @@ from monotensor.moments import (
     moment_via_quotient,
     monotone_moment,
     orthonormalized_table,
+    quotient_check,
     sign_pattern_check,
 )
 from monotensor.words import IdealMembershipError, MissingMomentError, a, b, b_centered
@@ -156,6 +157,33 @@ def test_quotient_route_matches_direct():
             got = moment_via_quotient(p, data, kind)
             want = direct(p, data)
             assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
+
+
+@pytest.mark.parametrize("scale", [1e-16, 1e16])
+def test_functionals_scale_exactly(scale):
+    # Tiny or huge coefficients are neither pruned nor distorted.
+    p = a(1) + b(1) * a(1) * b(1)
+    for fn in (
+        cyclic_moment,
+        monotone_moment,
+        lambda x, d: moment_via_quotient(x, d, "cyclic"),
+        lambda x, d: moment_via_quotient(x, d, "monotone"),
+    ):
+        assert fn(scale * p, STANDARD) == scale * fn(p, STANDARD)
+    assert cyclic_moment(scale * p, STANDARD) == scale * ref.X_TRACE[1]
+
+
+def test_quotient_check_draws_right_factors_only_for_dropped_monomials():
+    def never():
+        raise AssertionError("right factor drawn with nothing dropped")
+        yield
+
+    rows = quotient_check(a(1) + b(1) * a(1) * b(1), STANDARD, never(), 1e-10)
+    assert [row[0] for row in rows] == ["cyclic", "monotone", "annihilation"]
+    assert all(passed for _, _, passed in rows)
+    # a1 (b1)° a1 is dropped; times b1 a1 both functionals vanish on it.
+    rows = quotient_check(a(1) * b(1) * a(1), STANDARD, iter([b(1) * a(1)]), 1e-10)
+    assert rows[-1] == ("annihilation", 0.0, True)
 
 
 def test_quotient_route_rejects_unknown_kind():

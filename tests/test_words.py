@@ -1,4 +1,5 @@
 """Word algebra: parsing, products, centering, and the quotient map."""
+import numpy as np
 import pytest
 
 from monotensor.moments import BMomentTable
@@ -26,10 +27,8 @@ def test_letter_validation():
     with pytest.raises(ValueError):
         Letter("A", 0)
     with pytest.raises(ValueError):
-        Letter("A", 1, centered=True)
-    with pytest.raises(ValueError):
-        Letter("B", 0, centered=True)
-    assert str(Letter("B", 2, centered=True)) == "b2°"
+        b_centered(0)
+    assert str(b_centered(2)) == "(b2)°"
 
 
 def test_parse_basic():
@@ -70,6 +69,13 @@ def test_product_expansion():
 
 def test_pow_zero_is_unit():
     assert a(1) ** 0 == NCPolynomial.one()
+
+
+def test_pow_takes_any_integer_type_but_bool():
+    assert a(1) ** np.int64(2) == a(1) * a(1)
+    for bad in (True, 2.0, -1, np.int64(-1)):
+        with pytest.raises(ValueError):
+            a(1) ** bad
 
 
 def test_adjoint_reverses_and_conjugates():
@@ -196,6 +202,23 @@ def test_json_round_trip_plain_and_centered():
     p = (0.5 + 0.25j) * (a(1) * b(2)) + b_centered(1) * a(1)
     back = NCPolynomial.from_json_obj(p.to_json_obj())
     assert poly_isclose(back, p)
+
+
+def test_centered_letter_json_reads_as_run():
+    obj = [{"coeff_re": 1.0, "word": [["B", 1, True], ["A", 1], ["B", 2, False]]}]
+    p = NCPolynomial.from_json_obj(obj)
+    assert set(p.terms) == {(CenteredRun((1,)), Letter("A", 1), Letter("B", 2))}
+    assert p.to_json_obj()[0]["word"] == [["Bc", [1]], ["A", 1], ["B", 2]]
+    for bad in (["A", 1, True], ["B", 0, True]):
+        with pytest.raises(ValueError):
+            NCPolynomial.from_json_obj([{"coeff_re": 1.0, "word": [bad]}])
+
+
+def test_centered_letter_and_run_are_one_word():
+    p = b_centered(1) * a(1) + NCPolynomial.from_word(
+        (CenteredRun((1,)), Letter("A", 1))
+    )
+    assert p.terms == {(CenteredRun((1,)), Letter("A", 1)): 2.0}
 
 
 def test_json_round_trip_centered_run():
