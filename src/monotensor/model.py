@@ -26,7 +26,7 @@ from .moments import (
     cyclic_moment,
     monotone_moment,
 )
-from .words import CenteredRun, Letter, NCPolynomial
+from .words import NCPolynomial, check_expansion
 
 #: Largest model dimension n * 2^q a spec may request.
 DIM_CAP = 4096
@@ -147,16 +147,15 @@ def build_model(spec: ModelSpec) -> TensorModel:
 
 
 def _atom_matrix(atom, a_reps, b_reps, dim: int) -> np.ndarray:
-    if isinstance(atom, CenteredRun):
-        m = b_reps[atom.indices[0] - 1]
-        for j in atom.indices[1:]:
+    """Matrix of a coded atom (see :mod:`monotensor.words`)."""
+    if isinstance(atom, tuple):
+        m = b_reps[atom[0] - 1]
+        for j in atom[1:]:
             m = m @ b_reps[j - 1]
         return m - (np.trace(m) / dim) * np.eye(dim, dtype=np.complex128)
-    if not isinstance(atom, Letter):
-        raise TypeError(f"not a word atom: {atom!r}")
-    if atom.algebra == "A":
-        return a_reps[atom.index - 1]
-    return b_reps[atom.index - 1]
+    if atom > 0:
+        return a_reps[atom - 1]
+    return b_reps[-atom - 1]
 
 
 def matrix_power(m: np.ndarray, k: int) -> np.ndarray:
@@ -214,6 +213,7 @@ class VerifyReport:
 
 def _verify(spec: ModelSpec, data: MomentData | None, k_max: int, rtol: float,
             kind: str) -> VerifyReport:
+    check_expansion(spec.poly, k_max)
     if data is None:
         data = spec.moment_data()
     model = build_model(spec)

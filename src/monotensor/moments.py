@@ -19,6 +19,7 @@ test-suite, and :func:`quotient_check` compares the two routes.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import product as iter_product
 
@@ -26,12 +27,13 @@ import numpy as np
 
 from . import linalg
 from .words import (
-    CenteredRun,
     IdealMembershipError,
     MissingMomentError,
     NCPolynomial,
+    QuotientElement,
     b_centered,
     a as a_letter,
+    decode_word,
     expand_run,
     quotient_map,
     quotient_map_with_remainder,
@@ -39,6 +41,9 @@ from .words import (
 )
 
 TABLE_CHECK_TOL = 1e-12
+
+#: One b-index of a comma-separated ``tau`` key such as ``"1,10"``.
+_TAU_INDEX = re.compile(r"[1-9][0-9]*")
 
 
 class BMomentTable:
@@ -116,10 +121,14 @@ class BMomentTable:
 
 
 class AFamilyMoments:
-    """Joint moments of the a-family: non-normalized trace of products."""
+    """Joint moments of the a-family: non-normalized trace of products.
+
+    The matrices are read-only copies of the inputs, so the traces that
+    :meth:`moment` caches by a-word cannot go stale.
+    """
 
     def __init__(self, matrices):
-        mats = [linalg.as_matrix(m) for m in matrices]
+        mats = tuple(np.array(linalg.as_matrix(m)) for m in matrices)
         if not mats:
             raise ValueError("need at least one a-matrix")
         dim = mats[0].shape[0]
@@ -128,7 +137,12 @@ class AFamilyMoments:
                 raise ValueError("a-matrices must be square with a common dimension")
             if not linalg.is_hermitian(m):
                 raise ValueError("a-matrices must be Hermitian")
+        for m in mats:
+            m.setflags(write=False)
         self.matrices = mats
+        self._traces: dict[tuple, complex] = {}
+        # The last a-word computed and its left-to-right partial products.
+        self._chain: tuple[tuple, list] = ((), [])
 
     @classmethod
     def from_eigenvalues(cls, eigenvalues) -> "AFamilyMoments":
@@ -146,17 +160,34 @@ class AFamilyMoments:
         return self.matrices[0].shape[0]
 
     def moment(self, indices) -> complex:
-        """Trace of ``a_{i1} .. a_{ik}``; the word must be non-empty."""
+        """Trace of ``a_{i1} .. a_{ik}``; the word must be non-empty.
+
+        Values are cached by word.  A new word reuses the partial products
+        ``a_{i1} .. a_{im}`` of the previous new word along their common
+        prefix; those are the products it would compute itself, left to
+        right, so the value does not depend on what came before.
+        """
         indices = tuple(indices)
-        if not indices:
-            raise IdealMembershipError("a-word moment needs at least one letter")
-        for i in indices:
-            if not 1 <= i <= self.p:
-                raise ValueError(f"a-index {i} out of range 1..{self.p}")
-        acc = self.matrices[indices[0] - 1]
-        for i in indices[1:]:
-            acc = acc @ self.matrices[i - 1]
-        return complex(np.trace(acc))
+        value = self._traces.get(indices)
+        if value is None:
+            if not indices:
+                raise IdealMembershipError("a-word moment needs at least one letter")
+            p = len(self.matrices)
+            for i in indices:
+                if not 1 <= i <= p:
+                    raise ValueError(f"a-index {i} out of range 1..{p}")
+            prev, partials = self._chain
+            shared = 0
+            for i, j in zip(indices, prev):
+                if i != j:
+                    break
+                shared += 1
+            partials = partials[:shared] or [self.matrices[indices[0] - 1]]
+            for i in indices[len(partials):]:
+                partials.append(partials[-1] @ self.matrices[i - 1])
+            self._chain = (indices, partials)
+            value = self._traces[indices] = complex(partials[-1].trace())
+        return value
 
 
 @dataclass
@@ -198,9 +229,9 @@ class MomentData:
         )
         values = {}
         for key, val in obj["tau"].items():
-            if not key or not key.isdigit() or "0" in key:
-                raise ValueError(f"tau keys are digit strings of indices >= 1: {key!r}")
-            run = tuple(int(ch) for ch in key)
+            run = _tau_run(key)
+            if run in values:
+                raise ValueError(f"tau names the b-run {run} twice")
             values[run] = complex(val[0], val[1]) if isinstance(val, list) else complex(val)
         return cls(a_moments, BMomentTable(values, q=obj.get("q")))
 
@@ -208,6 +239,8 @@ class MomentData:
         tau = {}
         for run, val in sorted(self.b_table.values.items()):
             key = "".join(str(j) for j in run)
+            if max(run) >= 10:
+                key = ",".join(str(j) for j in run) + ("," if len(run) == 1 else "")
             tau[key] = val.real if val.imag == 0.0 else [val.real, val.imag]
         return {
             "a_matrices": [linalg.matrix_to_json(m) for m in self.a_moments.matrices],
@@ -216,8 +249,26 @@ class MomentData:
         }
 
 
+def _tau_run(key: str) -> tuple[int, ...]:
+    """The b-run a ``tau`` key names, every index >= 1.
+
+    A key is either one digit per index (``"12"`` is ``(1, 2)``) or a
+    comma list (``"1,10"``), which may end in a comma and must when it
+    holds one index (``"10,"`` is ``(10,)``).
+    """
+    if "," in key:
+        parts = key.removesuffix(",").split(",")
+        if all(_TAU_INDEX.fullmatch(part) for part in parts):
+            return tuple(int(part) for part in parts)
+    elif key.isdigit() and "0" not in key:
+        return tuple(int(ch) for ch in key)
+    raise ValueError(
+        f"tau keys are digit strings or comma lists of indices >= 1: {key!r}"
+    )
+
+
 def run_mean(run, table: BMomentTable) -> complex:
-    """State value of a b-run that may contain centered atoms."""
+    """State value of a coded b-run that may contain centered atoms."""
     total = 0.0 + 0.0j
     for plain, coeff in expand_run(run, table):
         total += coeff * table.value(plain)
@@ -228,20 +279,27 @@ def _factorized_moment(p: NCPolynomial, data: MomentData, wrap: bool) -> complex
     """Weight of each word's a-letters times the state of each of its b-runs.
 
     With ``wrap`` the trailing run is joined onto the leading one inside
-    a single state value; without it the two factor separately.
+    a single state value; without it the two factor separately.  Run
+    means are memoized for the call, a-word traces by ``data.a_moments``.
     """
+    a_moment = data.a_moments.moment
+    table = data.b_table
+    means: dict[tuple, complex] = {}
     total = 0.0 + 0.0j
     for word, coeff in p.terms.items():
         a_indices, runs = split_runs(word)
         if not a_indices:
             raise IdealMembershipError(
-                f"word without a-letters has no moment here: {word!r}"
+                f"word without a-letters has no moment here: {decode_word(word)!r}"
             )
         if wrap:
             runs = runs[1:-1] + [runs[-1] + runs[0]]
-        value = data.a_moments.moment(a_indices)
+        value = a_moment(a_indices)
         for run in runs:
-            value *= run_mean(run, data.b_table)
+            mean = means.get(run)
+            if mean is None:
+                mean = means[run] = run_mean(run, table)
+            value *= mean
         total += coeff * value
     return total
 
@@ -267,13 +325,18 @@ def moment_via_quotient(p: NCPolynomial, data: MomentData, kind: str) -> complex
     """
     if kind not in ("cyclic", "monotone"):
         raise ValueError(f"kind must be 'cyclic' or 'monotone', got {kind!r}")
-    element = quotient_map(p, data.b_table)
+    return _quotient_moment(quotient_map(p, data.b_table), data, kind)
+
+
+def _quotient_moment(element: QuotientElement, data: MomentData, kind: str) -> complex:
+    """A functional's value on a quotient record (see :func:`moment_via_quotient`)."""
     total = 0.0 + 0.0j
     for a_word, coeff in element.part_a.items():
         total += coeff * data.a_moments.moment(a_word)
     if kind == "cyclic":
         for (lead, a_word, trail), coeff in element.part_bab.items():
-            weight = run_mean((CenteredRun(trail), CenteredRun(lead)), data.b_table)
+            # Both legs are centered runs, which code as their index tuples.
+            weight = run_mean((trail, lead), data.b_table)
             if weight != 0.0:
                 total += coeff * data.a_moments.moment(a_word) * weight
     return total
@@ -289,14 +352,15 @@ def quotient_check(p: NCPolynomial, data: MomentData, rights,
     row holds the largest modulus either functional takes on a dropped
     monomial of ``p`` (coefficient 1) times a right factor from
     ``rights``; it passes at or below ``tol``.  ``rights`` is drawn from
-    only when ``p`` drops a monomial.
+    only when ``p`` drops a monomial.  The quotient record of ``p`` is
+    built once and serves every row.
     """
+    element, remainder = quotient_map_with_remainder(p, data.b_table)
     rows = []
     for kind, direct in (("cyclic", cyclic_moment), ("monotone", monotone_moment)):
         want = direct(p, data)
-        residual = abs(moment_via_quotient(p, data, kind) - want)
+        residual = abs(_quotient_moment(element, data, kind) - want)
         rows.append((kind, residual, residual <= tol * (1.0 + abs(want))))
-    _, remainder = quotient_map_with_remainder(p, data.b_table)
     worst = 0.0
     if remainder:
         rights = list(rights)

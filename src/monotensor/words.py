@@ -8,10 +8,25 @@ either single letters or *centered runs*: a centered run stands for a
 product of b-generators minus its mean times the unit, which is the
 normal form produced by :func:`center_expand`.
 
-Polynomials are dictionaries word -> complex coefficient; only exact
-zeros are pruned, so every operation is linear at any scale.  The
-quotient map sends a polynomial whose every word contains at least one
-a-letter to its record in the quotient by the ideal that both moment
+:class:`Letter` and :class:`CenteredRun` are the public atoms.  Inside a
+polynomial, ``NCPolynomial.terms`` maps *coded* words to complex
+coefficients, and a coded word is a tuple of coded atoms:
+
+* ``a_i`` is the int ``i`` (positive),
+* ``b_j`` is the int ``-j`` (negative),
+* the centered run ``CenteredRun((j1, .., jk))`` is the tuple ``(j1, .., jk)``.
+
+Ints and tuples hash and compare in C, so products and lookups cost no
+Python-level hashing.  Words are encoded once, on the way in (the
+constructor, :meth:`NCPolynomial.from_word`, :func:`parse_polynomial`,
+:meth:`NCPolynomial.from_json_obj`), and decoded on the way out
+(:meth:`NCPolynomial.sorted_terms`, which text and JSON output read).
+Arithmetic, :func:`split_runs`, :func:`expand_run`, centering and the
+quotient map work on coded words.
+
+Only exact zeros are pruned, so every operation is linear at any scale.
+The quotient map sends a polynomial whose every word contains at least
+one a-letter to its record in the quotient by the ideal that both moment
 functionals annihilate: the words that keep two or more separated
 a-runs after centering are dropped, the rest are classified by their
 leading/trailing centered runs.
@@ -35,8 +50,8 @@ class MissingMomentError(LookupError):
 class Letter:
     """A single generator: ``a<index>`` or ``b<index>``.
 
-    ``b0`` denotes the unit of the b family and is absorbed during word
-    normalization.  A centered b-letter is the run ``CenteredRun((j,))``.
+    ``b0`` denotes the unit of the b family and is dropped when a word
+    is encoded.  A centered b-letter is the run ``CenteredRun((j,))``.
     """
 
     algebra: str
@@ -77,7 +92,11 @@ class CenteredRun:
 
 
 Atom = Letter | CenteredRun
-Word = tuple  # tuple[Atom, ...]; the empty tuple is the unit word.
+Word = tuple  # tuple of coded atoms (int or tuple); () is the unit word.
+
+#: Largest term count ``len(p.terms) ** k`` that an expansion of ``p**k``
+#: may reach; see :func:`check_expansion`.
+EXPANSION_CAP = 2**18
 
 
 def a(i: int) -> "NCPolynomial":
@@ -95,46 +114,90 @@ def b_centered(j: int) -> "NCPolynomial":
     return NCPolynomial({(CenteredRun((j,)),): 1.0})
 
 
-def normalize_word(letters) -> Word:
-    """Drop unit letters (``b0``); the result is the word's normal form."""
+def encode_word(atoms) -> Word:
+    """Coded normal form of a word of :class:`Letter`/:class:`CenteredRun` atoms.
+
+    Unit letters (``b0``) are dropped.
+    """
     out = []
-    for atom in letters:
-        if isinstance(atom, Letter) and atom.algebra == "B" and atom.index == 0:
-            continue
-        if not isinstance(atom, (Letter, CenteredRun)):
+    for atom in atoms:
+        if isinstance(atom, Letter):
+            if atom.algebra == "A":
+                out.append(int(atom.index))
+            elif atom.index != 0:
+                out.append(-int(atom.index))
+        elif isinstance(atom, CenteredRun):
+            out.append(tuple(int(j) for j in atom.indices))
+        else:
             raise TypeError(f"not a word atom: {atom!r}")
-        out.append(atom)
     return tuple(out)
 
 
-def _atom_sort_key(atom: Atom):
-    if isinstance(atom, Letter):
-        return (atom.algebra, atom.index)
-    return ("R", atom.indices)
+def decode_word(word: Word) -> tuple:
+    """The :class:`Letter`/:class:`CenteredRun` atoms of a coded word."""
+    return tuple(
+        CenteredRun(x) if isinstance(x, tuple)
+        else Letter("A", x) if x > 0 else Letter("B", -x)
+        for x in word
+    )
+
+
+def _atom_sort_key(atom):
+    # a-letters, then b-letters, then centered runs, each by index.
+    if isinstance(atom, tuple):
+        return (2, atom)
+    return (0, atom) if atom > 0 else (1, -atom)
 
 
 def _word_sort_key(word: Word):
     return (len(word), tuple(_atom_sort_key(x) for x in word))
 
 
-def word_str(word: Word) -> str:
+def check_expansion(p: "NCPolynomial", k: int) -> None:
+    """Reject ``p**k`` before expanding when ``len(p.terms) ** k`` tops the cap.
+
+    Raises ``ValueError`` above :data:`EXPANSION_CAP`.  The exponent is
+    clipped, so a huge ``k`` costs nothing to check.
+    """
+    n = len(p.terms)
+    if n > 1 and n ** min(operator.index(k), EXPANSION_CAP.bit_length()) > EXPANSION_CAP:
+        raise ValueError(
+            f"expanding {n} terms to the power {k} can give up to {n}**{k} words, "
+            f"above the cap of {EXPANSION_CAP}"
+        )
+
+
+def word_str(word) -> str:
+    """Text form of a word of :class:`Letter`/:class:`CenteredRun` atoms."""
     if not word:
         return "1"
     return " ".join(str(atom) for atom in word)
 
 
 class NCPolynomial:
-    """Noncommutative polynomial: finitely many words with coefficients."""
+    """Noncommutative polynomial: finitely many words with coefficients.
+
+    The constructor takes words of :class:`Letter`/:class:`CenteredRun`
+    atoms and encodes them; ``terms`` holds coded words.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
         collected: dict[Word, complex] = {}
         for word, coeff in (terms or {}).items():
-            w = normalize_word(word)
+            w = encode_word(word)
             c = collected.get(w, 0.0) + complex(coeff)
             collected[w] = c
         self.terms = {w: c for w, c in collected.items() if c != 0}
+
+    @classmethod
+    def _coded(cls, terms: dict) -> "NCPolynomial":
+        """Trusted constructor: coded words and complex coefficients that
+        this module built itself.  Prunes exact zeros and nothing else."""
+        poly = cls.__new__(cls)
+        poly.terms = {w: c for w, c in terms.items() if c != 0}
+        return poly
 
     # -- constructors -------------------------------------------------
 
@@ -163,8 +226,10 @@ class NCPolynomial:
             return NotImplemented
         return self.terms == other.terms
 
-    def sorted_terms(self) -> list[tuple[Word, complex]]:
-        return sorted(self.terms.items(), key=lambda kv: _word_sort_key(kv[0]))
+    def sorted_terms(self) -> list[tuple[tuple, complex]]:
+        """Terms in print order, words decoded to :class:`Letter`/:class:`CenteredRun`."""
+        ordered = sorted(self.terms.items(), key=lambda kv: _word_sort_key(kv[0]))
+        return [(decode_word(w), c) for w, c in ordered]
 
     def in_a_ideal(self) -> bool:
         """True when every word contains at least one a-letter.
@@ -173,21 +238,26 @@ class NCPolynomial:
         unit polynomial is not.
         """
         return all(
-            any(isinstance(x, Letter) and x.algebra == "A" for x in w)
-            for w in self.terms
+            any(isinstance(x, int) and x > 0 for x in w) for w in self.terms
         )
 
     def max_letter_index(self, algebra: str) -> int:
         top = 0
         for w in self.terms:
             for atom in w:
-                if isinstance(atom, Letter) and atom.algebra == algebra:
-                    top = max(top, atom.index)
-                elif isinstance(atom, CenteredRun) and algebra == "B":
-                    top = max(top, max(atom.indices))
+                if isinstance(atom, tuple):
+                    if algebra == "B":
+                        top = max(top, max(atom))
+                elif (atom > 0) == (algebra == "A"):
+                    top = max(top, abs(atom))
         return top
 
     # -- arithmetic ----------------------------------------------------
+    #
+    # Results go through the trusted constructor.  No stored coefficient
+    # has a negative-zero part (the public constructor adds 0.0 to each),
+    # and neither has a sum of two such values, so sums go in as they
+    # are.  Negation and scaling can make one, so they add 0.0 too.
 
     def __add__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -197,12 +267,12 @@ class NCPolynomial:
         out = dict(self.terms)
         for w, c in other.terms.items():
             out[w] = out.get(w, 0.0) + c
-        return NCPolynomial(out)
+        return NCPolynomial._coded(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NCPolynomial({w: -c for w, c in self.terms.items()})
+        return NCPolynomial._coded({w: 0.0 - c for w, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -216,15 +286,19 @@ class NCPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return NCPolynomial({w: c * other for w, c in self.terms.items()})
+            return NCPolynomial._coded(
+                {w: 0.0 + complex(c * other) for w, c in self.terms.items()}
+            )
         if not isinstance(other, NCPolynomial):
             return NotImplemented
         out: dict[Word, complex] = {}
+        get = out.get
+        right = other.terms.items()
         for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
+            for w2, c2 in right:
                 w = w1 + w2
-                out[w] = out.get(w, 0.0) + c1 * c2
-        return NCPolynomial(out)
+                out[w] = get(w, 0.0) + c1 * c2
+        return NCPolynomial._coded(out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -234,6 +308,7 @@ class NCPolynomial:
     def __pow__(self, k: int):
         if isinstance(k, bool) or not hasattr(k, "__index__") or operator.index(k) < 0:
             raise ValueError("polynomial powers take a non-negative integer")
+        check_expansion(self, k)
         out = NCPolynomial.one()
         for _ in range(k):
             out = out * self
@@ -248,12 +323,9 @@ class NCPolynomial:
         """
         out: dict[Word, complex] = {}
         for w, c in self.terms.items():
-            rev = tuple(
-                CenteredRun(tuple(reversed(x.indices))) if isinstance(x, CenteredRun) else x
-                for x in reversed(w)
-            )
+            rev = tuple(x[::-1] if isinstance(x, tuple) else x for x in reversed(w))
             out[rev] = out.get(rev, 0.0) + c.conjugate()
-        return NCPolynomial(out)
+        return NCPolynomial._coded(out)
 
     # -- text and JSON --------------------------------------------------
 
@@ -402,25 +474,25 @@ def parse_polynomial(text: str) -> NCPolynomial:
 
 
 def split_runs(word: Word):
-    """Split a word into its a-letter indices and surrounding b-runs.
+    """Split a coded word into its a-letter indices and surrounding b-runs.
 
     Returns ``(a_indices, runs)`` where ``runs`` has one more entry than
     ``a_indices``: leading run, the runs between consecutive a-letters,
-    trailing run.  Runs are (possibly empty) tuples of b-atoms.
+    trailing run.  Runs are (possibly empty) tuples of coded b-atoms.
     """
     a_indices: list[int] = []
     runs: list[tuple] = [()]
     for atom in word:
-        if isinstance(atom, Letter) and atom.algebra == "A":
-            a_indices.append(atom.index)
+        if isinstance(atom, int) and atom > 0:
+            a_indices.append(atom)
             runs.append(())
         else:
-            runs[-1] = runs[-1] + (atom,)
+            runs[-1] += (atom,)
     return a_indices, runs
 
 
 def expand_run(run, table) -> list[tuple[tuple[int, ...], complex]]:
-    """Expand a b-run with centered atoms into plain runs with weights.
+    """Expand a coded b-run with centered atoms into plain runs with weights.
 
     Each centered run contributes (product - mean * unit); multiplying
     out yields a list of ``(plain_index_tuple, coefficient)`` pairs.
@@ -428,20 +500,18 @@ def expand_run(run, table) -> list[tuple[tuple[int, ...], complex]]:
     """
     parts: list[tuple[tuple[int, ...], complex]] = [((), 1.0)]
     for atom in run:
-        if isinstance(atom, Letter):
-            if atom.algebra != "B":
-                raise ValueError("expand_run expects b-atoms only")
-            parts = [(w + (atom.index,), c) for w, c in parts]
-        elif isinstance(atom, CenteredRun):
-            mean = table.value(atom.indices)
+        if isinstance(atom, tuple):
+            mean = table.value(atom)
             nxt = []
             for w, c in parts:
-                nxt.append((w + atom.indices, c))
+                nxt.append((w + atom, c))
                 if mean != 0.0:
                     nxt.append((w, -c * mean))
             parts = nxt
+        elif atom < 0:
+            parts = [(w + (-atom,), c) for w, c in parts]
         else:
-            raise TypeError(f"not a b-atom: {atom!r}")
+            raise ValueError("expand_run expects b-atoms only")
     collected: dict[tuple[int, ...], complex] = {}
     for w, c in parts:
         collected[w] = collected.get(w, 0.0) + c
@@ -451,26 +521,26 @@ def expand_run(run, table) -> list[tuple[tuple[int, ...], complex]]:
 def center_expand(p: NCPolynomial, table) -> NCPolynomial:
     """Rewrite every maximal b-run as (centered run) + mean * unit.
 
-    The output words consist of a-letters and :class:`CenteredRun`
-    atoms only; b-runs whose mean is needed but not stored in ``table``
-    raise :class:`MissingMomentError`.
+    The output words consist of a-letters and centered runs only; b-runs
+    whose mean is needed but not stored in ``table`` raise
+    :class:`MissingMomentError`.
     """
     out: dict[Word, complex] = {}
     for word, coeff in p.terms.items():
         a_indices, runs = split_runs(word)
-        # Per run: list of (atom-or-None, weight) alternatives.
-        options: list[list[tuple[Atom | None, complex]]] = []
+        # Per run: list of (centered run or None, weight) alternatives.
+        options: list[list[tuple[tuple | None, complex]]] = []
         for run in runs:
             if not run:
                 options.append([(None, 1.0)])
                 continue
-            alts: list[tuple[Atom | None, complex]] = []
+            alts: list[tuple[tuple | None, complex]] = []
             unit_weight = 0.0
             for plain, c in expand_run(run, table):
                 if not plain:
                     unit_weight += c
                     continue
-                alts.append((CenteredRun(plain), c))
+                alts.append((plain, c))
                 mean = table.value(plain)
                 if mean != 0.0:
                     unit_weight += c * mean
@@ -485,12 +555,12 @@ def center_expand(p: NCPolynomial, table) -> NCPolynomial:
                 for atom, w in run_alts:
                     grown = prefix if atom is None else prefix + (atom,)
                     if slot < len(a_indices):
-                        grown = grown + (Letter("A", a_indices[slot]),)
+                        grown = grown + (a_indices[slot],)
                     nxt.append((grown, c * w))
             stack = nxt
         for w, c in stack:
             out[w] = out.get(w, 0.0) + c
-    return NCPolynomial(out)
+    return NCPolynomial._coded(out)
 
 
 @dataclass
@@ -547,10 +617,11 @@ def quotient_map_with_remainder(p: NCPolynomial, table):
     element = QuotientElement()
     remainder: dict[Word, complex] = {}
     for word, coeff in expanded.terms.items():
+        # Centered words hold a-letters (ints) and centered runs (tuples).
         legs = 0
         prev_was_a = False
         for atom in word:
-            is_a = isinstance(atom, Letter) and atom.algebra == "A"
+            is_a = not isinstance(atom, tuple)
             if is_a and not prev_was_a:
                 legs += 1
             prev_was_a = is_a
@@ -561,13 +632,13 @@ def quotient_map_with_remainder(p: NCPolynomial, table):
         trail: tuple[int, ...] = ()
         a_word: list[int] = []
         for pos, atom in enumerate(word):
-            if isinstance(atom, CenteredRun):
+            if isinstance(atom, tuple):
                 if pos == 0:
-                    lead = atom.indices
+                    lead = atom
                 else:
-                    trail = atom.indices
+                    trail = atom
             else:
-                a_word.append(atom.index)
+                a_word.append(atom)
         key_a = tuple(a_word)
         if lead and trail:
             bucket, key = element.part_bab, (lead, key_a, trail)
@@ -578,7 +649,7 @@ def quotient_map_with_remainder(p: NCPolynomial, table):
         else:
             bucket, key = element.part_a, key_a
         bucket[key] = bucket.get(key, 0.0) + coeff
-    return element, NCPolynomial(remainder)
+    return element, NCPolynomial._coded(remainder)
 
 
 def quotient_map(p: NCPolynomial, table) -> QuotientElement:

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, artifacts, reproducibility."""
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -208,3 +209,72 @@ def test_verify_artifact_byte_identical(runner, spec_file, tmp_path):
         texts.append(out.read_bytes())
     assert texts[0] == texts[1]
     assert texts[0].decode().startswith("k,symbolic,matrix,residual,pass\n")
+
+
+# Dyadic eigenvalues, Gaussian-integer coefficients and the orthonormal
+# b-table make every value below exact, so the bytes depend on neither
+# the BLAS nor the order of summation.
+GOLDEN_SPEC = {
+    "n": 3,
+    "q": 2,
+    "poly": [
+        {"coeff_re": 1.0, "coeff_im": 1.0, "word": [["A", 1]]},
+        {"coeff_re": 2.0, "coeff_im": -1.0, "word": [["B", 1], ["A", 1], ["B", 1]]},
+        {"coeff_re": -1.0, "coeff_im": 0.0, "word": [["A", 1], ["Bc", [1, 2]], ["A", 1]]},
+        {"coeff_re": 0.0, "coeff_im": 1.0, "word": [["B", 2], ["A", 1]]},
+    ],
+    "a": [{"eigenvalues": [0.5, 0.25, -0.125]}],
+}
+
+GOLDEN_OUTPUT = {
+    "verify-cyclic": (
+        "k,symbolic,matrix,residual,pass\n"
+        "1,1.875+0j,1.875+0j,0,true\n"
+        "2,0.984375-0.65625j,0.984375-0.65625j,0,true\n"
+        "3,0-1.248046875j,0-1.248046875j,0,true\n"
+        "4,-0.733154296875-1.599609375j,-0.733154296875-1.599609375j,0,true\n"
+        "5,-1.35223388671875-1.448822021484375j,"
+        "-1.35223388671875-1.448822021484375j,0,true\n"
+    ),
+    "verify-monotone": (
+        "k,symbolic,matrix,residual,pass\n"
+        "1,0.625+0.625j,0.625+0.625j,0,true\n"
+        "2,0+0.65625j,0+0.65625j,0,true\n"
+        "3,-0.27734375+0.27734375j,-0.27734375+0.27734375j,0,true\n"
+        "4,-0.2666015625+0j,-0.2666015625+0j,0,true\n"
+        "5,-0.1287841796875-0.1287841796875j,-0.1287841796875-0.1287841796875j,0,true\n"
+    ),
+    "verify-quotient": (
+        "index,check,residual,pass\n"
+        "0,cyclic,0,true\n"
+        "0,monotone,0,true\n"
+        "0,annihilation,0,true\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(GOLDEN_OUTPUT))
+def test_golden_output_bytes(runner, tmp_path, cmd):
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(GOLDEN_SPEC))
+    args = [cmd, "--spec", str(path)]
+    if cmd != "verify-quotient":
+        args += ["--k-max", "5"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert result.stdout == GOLDEN_OUTPUT[cmd]
+
+
+def test_oversized_expansion_exits_2_before_expanding(runner, tmp_path):
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({
+        "n": 2, "q": 1, "poly": "a1 + a2",
+        "a": [{"eigenvalues": [0.5, 0.25]}, {"eigenvalues": [0.25, 0.5]}],
+    }))
+    t0 = time.monotonic()
+    for args in (["verify-cyclic", "--k-max", "40"], ["verify-monotone", "--k-max", "40"],
+                 ["limits", "--k", "30"]):
+        result = runner.invoke(main, args + ["--spec", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "cap" in result.output
+    assert time.monotonic() - t0 < 5.0

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import _reference as ref
+from monotensor import words
 from monotensor.moments import (
     AFamilyMoments,
     BMomentTable,
@@ -17,6 +18,7 @@ from monotensor.moments import (
     quotient_check,
     sign_pattern_check,
 )
+from monotensor.sampling import random_alternating_poly, random_model_spec, stream
 from monotensor.words import IdealMembershipError, MissingMomentError, a, b, b_centered
 
 STANDARD = MomentData.standard(ref.EIGS)
@@ -292,3 +294,45 @@ def test_gram_schmidt_orthonormal_family_is_identity():
     coeffs = gram_schmidt(np.eye(2), np.zeros(2))
     expected = np.hstack([np.zeros((2, 1)), np.eye(2)])
     assert np.allclose(coeffs, expected, atol=1e-12)
+
+
+def test_quotient_check_builds_one_quotient_record(monkeypatch):
+    calls = []
+    original = words.center_expand
+
+    def counting(p, table):
+        calls.append(p)
+        return original(p, table)
+
+    monkeypatch.setattr(words, "center_expand", counting)
+    spec = random_model_spec(stream(20260819, 0xC0DE, 3))
+    data = spec.moment_data()
+    rights = (random_alternating_poly(stream(20260819, 0xFAC7, 3), data.p, data.q)
+              for _ in range(5))
+    rows = quotient_check(spec.poly, data, rights, 1e-10)
+    assert len(calls) == 1
+    assert [row[0] for row in rows] == ["cyclic", "monotone", "annihilation"]
+    assert all(passed for _, _, passed in rows)
+
+
+def test_tau_keys_name_indices_of_ten_and_up():
+    data = MomentData(AFamilyMoments.from_eigenvalues(ref.EIGS),
+                      BMomentTable.orthonormal(10, max_len=2))
+    obj = data.to_json_obj()
+    assert obj["tau"]["1,10"] == 0.0 and obj["tau"]["10,10"] == 1.0
+    assert obj["tau"]["10,"] == 0.0 and obj["tau"]["99"] == 1.0
+    assert "110" not in obj["tau"] and "10" not in obj["tau"]
+    back = MomentData.from_json_obj(obj)
+    assert back.b_table.values == data.b_table.values
+    assert back.q == 10
+    # Tables with indices below 10 keep their digit keys.
+    assert all(key.isdigit() for key in STANDARD.to_json_obj()["tau"])
+    base = {"a_matrices": [{"rows": 1, "cols": 1, "re": [1.0]}]}
+    same = MomentData.from_json_obj({**base, "tau": {"1,2": 0.5, "2,1,": 0.5, "3,": 0.0}})
+    assert same.b_table.values == {(1, 2): 0.5, (2, 1): 0.5, (3,): 0.0}
+    for bad in ("10", "1,0", "01,2", "1,,2", "1, 2", ",1", ",", "1,2,,"):
+        with pytest.raises(ValueError):
+            MomentData.from_json_obj({**base, "tau": {bad: 1.0}})
+    with pytest.raises(ValueError, match="twice"):
+        MomentData.from_json_obj({**base, "tau": {"12": 0.5, "1,2": 0.5}})
+

@@ -4,6 +4,7 @@ import pytest
 
 from monotensor.moments import BMomentTable
 from monotensor.words import (
+    EXPANSION_CAP,
     CenteredRun,
     IdealMembershipError,
     Letter,
@@ -13,6 +14,8 @@ from monotensor.words import (
     b,
     b_centered,
     center_expand,
+    check_expansion,
+    decode_word,
     parse_polynomial,
     poly_isclose,
     quotient_map,
@@ -97,10 +100,12 @@ def test_in_a_ideal():
 
 def test_split_runs():
     p = b(1) * a(1) * b(2) * b(1) * a(2)
-    (word, _), = p.sorted_terms()
+    (word,) = p.terms  # split_runs reads coded words
     a_indices, runs = split_runs(word)
     assert a_indices == [1, 2]
-    assert [tuple(atom.index for atom in run) for run in runs] == [(1,), (2, 1), ()]
+    assert [tuple(atom.index for atom in decode_word(run)) for run in runs] == [
+        (1,), (2, 1), ()
+    ]
 
 
 def test_center_expand_orthonormal():
@@ -119,10 +124,9 @@ def test_center_expand_nonzero_mean():
     # times the unit, so b1 a1 = (b1)degree a1 + 1/2 a1.
     table = BMomentTable({(1,): 0.5, (1, 1): 1.0}, q=1)
     out = center_expand(b(1) * a(1), table)
-    terms = dict(out.terms)
-    assert terms[(CenteredRun((1,)), Letter("A", 1))] == 1.0
-    assert terms[(Letter("A", 1),)] == 0.5
-    assert len(terms) == 2
+    assert out == (
+        NCPolynomial.from_word((CenteredRun((1,)), Letter("A", 1))) + 0.5 * a(1)
+    )
 
 
 def test_center_expand_pair_run():
@@ -133,9 +137,9 @@ def test_center_expand_pair_run():
         q=2,
     )
     out = center_expand(b(1) * b(2) * a(1), table)
-    terms = dict(out.terms)
-    assert terms[(CenteredRun((1, 2)), Letter("A", 1))] == 1.0
-    assert terms[(Letter("A", 1),)] == 0.25
+    assert out == (
+        NCPolynomial.from_word((CenteredRun((1, 2)), Letter("A", 1))) + 0.25 * a(1)
+    )
 
 
 def test_quotient_classification():
@@ -207,7 +211,9 @@ def test_json_round_trip_plain_and_centered():
 def test_centered_letter_json_reads_as_run():
     obj = [{"coeff_re": 1.0, "word": [["B", 1, True], ["A", 1], ["B", 2, False]]}]
     p = NCPolynomial.from_json_obj(obj)
-    assert set(p.terms) == {(CenteredRun((1,)), Letter("A", 1), Letter("B", 2))}
+    assert [word for word, _ in p.sorted_terms()] == [
+        (CenteredRun((1,)), Letter("A", 1), Letter("B", 2))
+    ]
     assert p.to_json_obj()[0]["word"] == [["Bc", [1]], ["A", 1], ["B", 2]]
     for bad in (["A", 1, True], ["B", 0, True]):
         with pytest.raises(ValueError):
@@ -218,7 +224,7 @@ def test_centered_letter_and_run_are_one_word():
     p = b_centered(1) * a(1) + NCPolynomial.from_word(
         (CenteredRun((1,)), Letter("A", 1))
     )
-    assert p.terms == {(CenteredRun((1,)), Letter("A", 1)): 2.0}
+    assert p.sorted_terms() == [((CenteredRun((1,)), Letter("A", 1)), 2.0)]
 
 
 def test_json_round_trip_centered_run():
@@ -231,3 +237,39 @@ def test_json_round_trip_centered_run():
 def test_str_form():
     assert str(a(1) * b(2)) == "a1 b2"
     assert str(NCPolynomial.zero()) == "0"
+
+
+def test_terms_are_coded_and_sorted_terms_decode():
+    p = b(12) * b_centered(1) * a(2) + NCPolynomial.from_word(
+        (CenteredRun((1, 10)), Letter("A", 1))
+    )
+    assert set(p.terms) == {(-12, (1,), 2), ((1, 10), 1)}
+    assert [word for word, _ in p.sorted_terms()] == [
+        (CenteredRun((1, 10)), Letter("A", 1)),
+        (Letter("B", 12), CenteredRun((1,)), Letter("A", 2)),
+    ]
+    with pytest.raises(TypeError):
+        NCPolynomial({(1, -2): 1.0})  # coded atoms do not pass the public constructor
+
+
+def test_print_order_is_a_then_b_then_runs():
+    p = (
+        NCPolynomial.from_word((CenteredRun((1,)), Letter("A", 1)))
+        + NCPolynomial.from_word((Letter("B", 2), Letter("A", 1)))
+        + NCPolynomial.from_word((Letter("B", 1), Letter("A", 1)))
+        + NCPolynomial.from_word((Letter("A", 2), Letter("A", 1)))
+        + a(1)
+    )
+    assert str(p) == "a1 + a2 a1 + b1 a1 + b2 a1 + (b1)° a1"
+
+
+def test_expansion_cap_rejects_before_expanding():
+    p = a(1) + a(2)
+    check_expansion(p, EXPANSION_CAP.bit_length() - 1)  # exactly at the cap
+    for k in (EXPANSION_CAP.bit_length(), 40, 10**12):
+        with pytest.raises(ValueError, match="cap"):
+            check_expansion(p, k)
+    with pytest.raises(ValueError, match="cap"):
+        p ** 40
+    # One term never grows.
+    check_expansion(a(1), 10**12)
