@@ -3,8 +3,9 @@
 The package has three layers:
 
 - symbolic words and polynomials in two families of letters, with the
-  centering quotient that classifies which words survive either
-  functional (``words``, ``moments``);
+  centering quotient that splits a polynomial into the words that
+  survive either functional and the words both annihilate
+  (``words``, ``moments``);
 - a finite-dimensional tensor model whose diagonal states reproduce both
   functionals exactly (``model``);
 - randomized conjugation experiments that approach the same targets at
@@ -29,7 +30,6 @@ from .words import (
     MissingMomentError,
     NCPolynomial,
     ParseError,
-    QuotientElement,
     a,
     b,
     b_centered,
@@ -37,7 +37,6 @@ from .words import (
     parse_polynomial,
     poly_isclose,
     quotient_map,
-    quotient_map_with_remainder,
     split_runs,
 )
 from .moments import (
@@ -112,7 +111,6 @@ __all__ = [
     "MONOTONE_SIGN_PATTERN",
     "NCPolynomial",
     "ParseError",
-    "QuotientElement",
     "RateFit",
     "SignPatternReport",
     "TensorModel",
@@ -150,7 +148,6 @@ __all__ = [
     "qr_unitary",
     "quotient_check",
     "quotient_map",
-    "quotient_map_with_remainder",
     "random_alternating_poly",
     "random_hermitian",
     "random_model_spec",

@@ -103,7 +103,10 @@ def main():
 @click.option("--output", type=click.Path(writable=True), default=None)
 def example(eigenvalues, fmt, output):
     """Spectra of the worked-example pair X = a + bab, Y = ab + ba."""
-    pair = build_example_pair(_floats(eigenvalues))
+    try:
+        pair = build_example_pair(_floats(eigenvalues))
+    except ValueError as exc:
+        raise _fail(exc)
     _emit(emit_report(pair, fmt), output)
     if not pair.ok:
         click.echo("eigenvalues deviate from the expected pattern", err=True)
@@ -119,7 +122,10 @@ def model(spec_path, state, k):
     """Evaluate a diagonal state on a power of the model matrix."""
     spec = _load_spec(spec_path)
     if state.startswith("partial:"):
-        parsed = ("partial", int(state.split(":", 1)[1]))
+        try:
+            parsed = ("partial", int(state.split(":", 1)[1]))
+        except ValueError as exc:
+            raise _fail(exc)
     elif state in ("full", "monotone"):
         parsed = state
     else:
@@ -168,8 +174,9 @@ main.command("verify-monotone")(_verify_command("monotone"))
 @main.command("verify-quotient")
 @click.option("--spec", "spec_path", type=click.Path(exists=True), default=None,
               help="Check this spec's polynomial instead of random ones.")
-@click.option("--count", default=200, show_default=True)
-@click.option("--right-factors", default=50, show_default=True)
+@click.option("--count", type=click.IntRange(min=1), default=200, show_default=True)
+@click.option("--right-factors", type=click.IntRange(min=1), default=50,
+              show_default=True)
 @click.option("--seed", default=20260819, show_default=True)
 @click.option("--tolerance", default=1e-10, show_default=True)
 @click.option("--output", type=click.Path(writable=True), default=None)
@@ -218,6 +225,8 @@ def limits(spec_path, k, n_text, l_text, tolerance, fmt, output):
     """Tabulate the two iterated limits over an (n, l) grid."""
     spec = _load_spec(spec_path)
     n_list = _ints(n_text) if n_text else [spec.n, 2 * spec.n, 4 * spec.n]
+    if not n_list:
+        raise _fail("--n needs at least one dimension")
     if l_text == "auto":
         l_list = list(range(1, min(n_list) + 1)) + [n * 2**spec.q for n in n_list]
     else:
@@ -296,6 +305,10 @@ def haar(word, n_text, l_rule, trials, seed, family_path, drop_leading_trace,
                 )
         except (KeyError, TypeError, ValueError) as exc:
             raise _fail(exc)
+    window = _floats(slope_window)
+    if len(window) != 2:
+        raise _fail(f"--slope-window takes two numbers lo,hi, got {slope_window!r}")
+    lo, hi = window
     if l_rule not in ("full", "half"):
         try:
             l_rule = int(l_rule)
@@ -318,7 +331,6 @@ def haar(word, n_text, l_rule, trials, seed, family_path, drop_leading_trace,
         raise _fail(exc)
     frozen = c_rate if c_rate is not None else report.calibrate_c_rate()
     failures = report.bound_failures(frozen)
-    lo, hi = _floats(slope_window)
     slope_ok = fit.slope_in(lo, hi)
     _emit(emit_report(report, "csv"), output)
     _emit(emit_report(fit, "json"), fit_output)

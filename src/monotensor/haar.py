@@ -18,6 +18,9 @@ import numpy as np
 from . import linalg
 from .sampling import complex_gaussians, stream
 
+#: Largest |A-word trace| and normalized |b-power trace| a sweep accepts.
+MOMENT_BOUND = 100.0
+
 
 def sample_haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary: QR of a complex Gaussian matrix.
@@ -102,8 +105,6 @@ class HaarWordSpec:
     trials: int = 400
     seed: int = 7
     include_leading_trace: bool = True
-    moment_bound: float = 100.0
-    force_identity: bool = False
 
     def __post_init__(self):
         word = tuple((str(t).upper(), int(i)) for t, i in self.word)
@@ -160,7 +161,7 @@ def realize_families(spec: HaarWordSpec, n: int):
 
 
 def _check_moment_bounds(spec: HaarWordSpec, n: int, a_mats, b_mats) -> None:
-    c = spec.moment_bound
+    c = MOMENT_BOUND
     a_word = [idx for tag, idx in spec.word if tag == "A"]
     if a_word:
         prod = a_mats[a_word[0] - 1]
@@ -268,10 +269,7 @@ def mc_estimate(spec: HaarWordSpec) -> McReport:
         target = target_value(spec, n, l, a_mats, b_mats)
         values = np.empty(spec.trials, dtype=np.complex128)
         for t in range(spec.trials):
-            if spec.force_identity:
-                u = np.eye(n, dtype=np.complex128)
-            else:
-                u = sample_haar_unitary(n, stream(spec.seed, n, t))
+            u = sample_haar_unitary(n, stream(spec.seed, n, t))
             values[t] = word_value(spec, n, l, u, a_mats, b_mats)
         rows.append(McRow(n=n, l=l, values=values, target=target))
     return McReport(spec=spec, rows=rows)

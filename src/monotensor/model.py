@@ -135,10 +135,10 @@ def build_model(spec: ModelSpec) -> TensorModel:
     ]
     dim = spec.dim
     acc = np.zeros((dim, dim), dtype=np.complex128)
-    eye = np.eye(dim, dtype=np.complex128)
+    # Every word holds an a-letter (ModelSpec checks), so none is empty.
     for word, coeff in spec.poly.terms.items():
-        m = eye
-        for atom in word:
+        m = _atom_matrix(word[0], a_reps, b_reps, dim)
+        for atom in word[1:]:
             m = m @ _atom_matrix(atom, a_reps, b_reps, dim)
         acc = acc + coeff * m
     return TensorModel(
@@ -220,11 +220,11 @@ def _verify(spec: ModelSpec, data: MomentData | None, k_max: int, rtol: float,
     symbolic_eval = cyclic_moment if kind == "cyclic" else monotone_moment
     state = "full" if kind == "cyclic" else "monotone"
     rows = []
-    pk = NCPolynomial.one()
-    mk = np.eye(model.dim, dtype=np.complex128)
+    pk, mk = spec.poly, model.poly_matrix
     for k in range(1, k_max + 1):
-        pk = pk * spec.poly
-        mk = mk @ model.poly_matrix
+        if k > 1:
+            pk = pk * spec.poly
+            mk = mk @ model.poly_matrix
         sym = symbolic_eval(pk, data)
         mat = linalg.trace(mk) if state == "full" else linalg.partial_trace(mk, model.n)
         residual = abs(sym - mat)

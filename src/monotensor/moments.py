@@ -12,10 +12,13 @@ a-letter:
   trailing included.
 
 The two share one evaluation loop and differ only in that wrap.  Both
-also factor through the quotient record produced by
-:func:`monotensor.words.quotient_map`; :func:`moment_via_quotient`
-evaluates along that route, which is the oracle used throughout the
-test-suite, and :func:`quotient_check` compares the two routes.
+also factor through the quotient record that
+:func:`monotensor.words.quotient_map` returns, the polynomials ``(kept,
+dropped)``: both functionals vanish on ``dropped`` and differ on
+``kept`` only in the state they apply to its words' end runs.
+:func:`moment_via_quotient` evaluates along that route, which is the
+oracle used throughout the test-suite, and :func:`quotient_check`
+compares the two routes.
 """
 from __future__ import annotations
 
@@ -30,17 +33,18 @@ from .words import (
     IdealMembershipError,
     MissingMomentError,
     NCPolynomial,
-    QuotientElement,
     b_centered,
     a as a_letter,
     decode_word,
     expand_run,
     quotient_map,
-    quotient_map_with_remainder,
     split_runs,
 )
 
 TABLE_CHECK_TOL = 1e-12
+
+#: Smallest squared norm :func:`gram_schmidt` accepts as a pivot.
+PIVOT_TOL = 1e-10
 
 #: One b-index of a comma-separated ``tau`` key such as ``"1,10"``.
 _TAU_INDEX = re.compile(r"[1-9][0-9]*")
@@ -317,28 +321,37 @@ def monotone_moment(p: NCPolynomial, data: MomentData) -> complex:
 def moment_via_quotient(p: NCPolynomial, data: MomentData, kind: str) -> complex:
     """Evaluate a functional through the quotient record.
 
-    ``kind`` is ``"cyclic"`` or ``"monotone"``.  In the cyclic case a
-    two-sided part (lead, a-word, trail) carries the weight
-    ``state(trail_centered * lead_centered)``, one-sided parts carry 0
-    (a centered leg traced against the unit), and the a-only part
-    carries 1.  In the monotone case only the a-only part survives.
+    ``kind`` is ``"cyclic"`` or ``"monotone"``.  Only the kept words
+    count.  In the cyclic case a two-sided word ``(lead, *a_word, trail)``
+    carries the weight ``state(trail_centered * lead_centered)``, a
+    one-sided word carries 0 (a centered leg traced against the unit),
+    and a bare a-word carries 1.  In the monotone case only the bare
+    a-words survive.
     """
     if kind not in ("cyclic", "monotone"):
         raise ValueError(f"kind must be 'cyclic' or 'monotone', got {kind!r}")
-    return _quotient_moment(quotient_map(p, data.b_table), data, kind)
+    kept, _ = quotient_map(p, data.b_table)
+    return _quotient_moment(kept, data, kind)
 
 
-def _quotient_moment(element: QuotientElement, data: MomentData, kind: str) -> complex:
-    """A functional's value on a quotient record (see :func:`moment_via_quotient`)."""
+def _quotient_moment(kept: NCPolynomial, data: MomentData, kind: str) -> complex:
+    """A functional's value on the kept words of a quotient record.
+
+    Bare a-words are summed first, then two-sided words, each in the
+    order of ``kept.terms`` (see :func:`moment_via_quotient`).
+    """
     total = 0.0 + 0.0j
-    for a_word, coeff in element.part_a.items():
-        total += coeff * data.a_moments.moment(a_word)
+    for word, coeff in kept.terms.items():
+        if not isinstance(word[0], tuple) and not isinstance(word[-1], tuple):
+            total += coeff * data.a_moments.moment(word)
     if kind == "cyclic":
-        for (lead, a_word, trail), coeff in element.part_bab.items():
-            # Both legs are centered runs, which code as their index tuples.
-            weight = run_mean((trail, lead), data.b_table)
-            if weight != 0.0:
-                total += coeff * data.a_moments.moment(a_word) * weight
+        for word, coeff in kept.terms.items():
+            lead, trail = word[0], word[-1]
+            if isinstance(lead, tuple) and isinstance(trail, tuple):
+                # Both legs are centered runs, which code as their index tuples.
+                weight = run_mean((trail, lead), data.b_table)
+                if weight != 0.0:
+                    total += coeff * data.a_moments.moment(word[1:-1]) * weight
     return total
 
 
@@ -355,19 +368,19 @@ def quotient_check(p: NCPolynomial, data: MomentData, rights,
     only when ``p`` drops a monomial.  The quotient record of ``p`` is
     built once and serves every row.
     """
-    element, remainder = quotient_map_with_remainder(p, data.b_table)
+    kept, dropped = quotient_map(p, data.b_table)
     rows = []
     for kind, direct in (("cyclic", cyclic_moment), ("monotone", monotone_moment)):
         want = direct(p, data)
-        residual = abs(_quotient_moment(element, data, kind) - want)
+        residual = abs(_quotient_moment(kept, data, kind) - want)
         rows.append((kind, residual, residual <= tol * (1.0 + abs(want))))
     worst = 0.0
-    if remainder:
+    if dropped:
         rights = list(rights)
-        for word, _ in remainder.sorted_terms():
-            dropped = NCPolynomial.from_word(word)
+        for word, _ in dropped.sorted_terms():
+            monomial = NCPolynomial.from_word(word)
             for y in rights:
-                xy = dropped * y
+                xy = monomial * y
                 worst = max(worst, abs(cyclic_moment(xy, data)),
                             abs(monotone_moment(xy, data)))
     rows.append(("annihilation", worst, worst <= tol))
@@ -455,13 +468,13 @@ def sign_pattern_check(data: MomentData) -> SignPatternReport:
 # -- orthonormalization of a b-family ------------------------------------
 
 
-def gram_schmidt(gram, means, pivot_tol: float = 1e-10) -> np.ndarray:
+def gram_schmidt(gram, means) -> np.ndarray:
     """Orthonormalize {1, b_1..b_q} in the state's inner product.
 
     ``gram[i, j]`` holds state(b_i* b_j) and ``means[i]`` holds
     state(b_i).  Returns a (q, q+1) coefficient matrix C with
     ``b'_i = C[i, 0] * 1 + sum_k C[i, k] * b_k``; the primed family is
-    centered and orthonormal.  Pivots below ``pivot_tol`` (linear
+    centered and orthonormal.  Pivots below :data:`PIVOT_TOL` (linear
     dependence, or a Gram matrix that is not positive definite) raise
     ``ValueError``.
     """
@@ -487,9 +500,9 @@ def gram_schmidt(gram, means, pivot_tol: float = 1e-10) -> np.ndarray:
         for u in basis:
             v = v - inner(u, v) * u
         nrm2 = inner(v, v).real
-        if nrm2 < pivot_tol:
+        if nrm2 < PIVOT_TOL:
             raise ValueError(
-                f"orthonormalization pivot {nrm2:.3e} below {pivot_tol:.1e}: "
+                f"orthonormalization pivot {nrm2:.3e} below {PIVOT_TOL:.1e}: "
                 "family is linearly dependent or the Gram matrix is not positive"
             )
         basis.append(v / np.sqrt(nrm2))

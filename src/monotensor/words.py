@@ -27,15 +27,16 @@ quotient map work on coded words.
 Only exact zeros are pruned, so every operation is linear at any scale.
 The quotient map sends a polynomial whose every word contains at least
 one a-letter to its record in the quotient by the ideal that both moment
-functionals annihilate: the words that keep two or more separated
-a-runs after centering are dropped, the rest are classified by their
-leading/trailing centered runs.
+functionals annihilate.  The record is a pair of polynomials ``(kept,
+dropped)`` that sums to the centered normal form: ``dropped`` holds the
+words that keep two or more separated a-runs after centering, ``kept``
+the words ``[lead run] a-word [trail run]``.
 """
 from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class IdealMembershipError(ValueError):
@@ -165,13 +166,6 @@ def check_expansion(p: "NCPolynomial", k: int) -> None:
             f"expanding {n} terms to the power {k} can give up to {n}**{k} words, "
             f"above the cap of {EXPANSION_CAP}"
         )
-
-
-def word_str(word) -> str:
-    """Text form of a word of :class:`Letter`/:class:`CenteredRun` atoms."""
-    if not word:
-        return "1"
-    return " ".join(str(atom) for atom in word)
 
 
 class NCPolynomial:
@@ -334,8 +328,9 @@ class NCPolynomial:
             return "0"
         chunks = []
         for word, coeff in self.sorted_terms():
-            shown = "" if (coeff == 1.0 and word) else _format_coeff(coeff)
-            chunks.append(f"{shown} {word_str(word)}".strip())
+            # A unit-word term prints as its coefficient alone.
+            shown = [] if (coeff == 1.0 and word) else [_format_coeff(coeff)]
+            chunks.append(" ".join(shown + [str(atom) for atom in word]))
         return " + ".join(chunks)
 
     def __repr__(self) -> str:
@@ -563,95 +558,24 @@ def center_expand(p: NCPolynomial, table) -> NCPolynomial:
     return NCPolynomial._coded(out)
 
 
-@dataclass
-class QuotientElement:
-    """Image of a polynomial in the quotient that the moments factor through.
+def quotient_map(p: NCPolynomial, table) -> tuple[NCPolynomial, NCPolynomial]:
+    """The quotient record of ``p``: the polynomials ``(kept, dropped)``.
 
-    Keys: ``part_a`` maps a-index words; ``part_ab`` maps (a-word,
-    trailing run); ``part_ba`` maps (leading run, a-word); ``part_bab``
-    maps (leading run, a-word, trailing run).  Runs are plain index
-    tuples and always stand for centered products.
-    """
-
-    part_a: dict = field(default_factory=dict)
-    part_ab: dict = field(default_factory=dict)
-    part_ba: dict = field(default_factory=dict)
-    part_bab: dict = field(default_factory=dict)
-
-    def parts(self):
-        return (self.part_a, self.part_ab, self.part_ba, self.part_bab)
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(all(abs(c) <= tol for c in part.values()) for part in self.parts())
-
-    def added(self, other: "QuotientElement") -> "QuotientElement":
-        out = []
-        for mine, theirs in zip(self.parts(), other.parts()):
-            merged = dict(mine)
-            for k, v in theirs.items():
-                merged[k] = merged.get(k, 0.0) + v
-            out.append(merged)
-        return QuotientElement(*out)
-
-    def isclose(self, other: "QuotientElement", tol: float = 1e-12) -> bool:
-        for mine, theirs in zip(self.parts(), other.parts()):
-            for k in set(mine) | set(theirs):
-                if abs(mine.get(k, 0.0) - theirs.get(k, 0.0)) > tol:
-                    return False
-        return True
-
-
-def quotient_map_with_remainder(p: NCPolynomial, table):
-    """Quotient image plus the dropped (annihilated) component.
-
-    Every word of ``p`` must contain an a-letter.  After centering, a
-    word with two or more maximal a-runs still separated by centered
-    runs lands in the annihilated ideal and is returned inside the
-    remainder polynomial; the rest are classified into the four parts.
+    Every word of ``p`` must contain an a-letter.  The two sum to
+    ``center_expand(p, table)``.  A centered word whose a-letters form
+    two or more runs lies in the ideal that both functionals annihilate
+    and goes to ``dropped``; every other word has the form
+    ``[lead run] a-word [trail run]`` and goes to ``kept``.
     """
     if not p.in_a_ideal():
         raise IdealMembershipError(
             "quotient map needs every word to contain an a-letter"
         )
-    expanded = center_expand(p, table)
-    element = QuotientElement()
-    remainder: dict[Word, complex] = {}
-    for word, coeff in expanded.terms.items():
-        # Centered words hold a-letters (ints) and centered runs (tuples).
-        legs = 0
-        prev_was_a = False
-        for atom in word:
-            is_a = not isinstance(atom, tuple)
-            if is_a and not prev_was_a:
-                legs += 1
-            prev_was_a = is_a
-        if legs >= 2:
-            remainder[word] = remainder.get(word, 0.0) + coeff
-            continue
-        lead: tuple[int, ...] = ()
-        trail: tuple[int, ...] = ()
-        a_word: list[int] = []
-        for pos, atom in enumerate(word):
-            if isinstance(atom, tuple):
-                if pos == 0:
-                    lead = atom
-                else:
-                    trail = atom
-            else:
-                a_word.append(atom)
-        key_a = tuple(a_word)
-        if lead and trail:
-            bucket, key = element.part_bab, (lead, key_a, trail)
-        elif lead:
-            bucket, key = element.part_ba, (lead, key_a)
-        elif trail:
-            bucket, key = element.part_ab, (key_a, trail)
-        else:
-            bucket, key = element.part_a, key_a
-        bucket[key] = bucket.get(key, 0.0) + coeff
-    return element, NCPolynomial._coded(remainder)
-
-
-def quotient_map(p: NCPolynomial, table) -> QuotientElement:
-    element, _ = quotient_map_with_remainder(p, table)
-    return element
+    kept: dict[Word, complex] = {}
+    dropped: dict[Word, complex] = {}
+    for word, coeff in center_expand(p, table).terms.items():
+        # A centered word has one centered run between any two a-runs,
+        # so a run inside the word separates two of them.
+        inner_run = any(isinstance(atom, tuple) for atom in word[1:-1])
+        (dropped if inner_run else kept)[word] = coeff
+    return NCPolynomial._coded(kept), NCPolynomial._coded(dropped)

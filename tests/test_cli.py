@@ -5,6 +5,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
+from monotensor import cli
 from monotensor.cli import main
 
 SPEC_OBJ = {
@@ -263,6 +264,27 @@ def test_golden_output_bytes(runner, tmp_path, cmd):
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
     assert result.stdout == GOLDEN_OUTPUT[cmd]
+
+
+@pytest.mark.parametrize("args", [
+    ["model", "--state", "partial:abc"],
+    ["haar", "--slope-window", "1"],
+    ["example", "--eigenvalues", ""],
+    ["verify-quotient", "--right-factors", "-1"],
+    ["verify-quotient", "--count", "-1"],
+    ["limits", "--n", ","],
+], ids=["model-state", "haar-slope-window", "example-eigenvalues",
+        "quotient-right-factors", "quotient-count", "limits-n"])
+def test_malformed_input_exits_2_before_any_work(runner, spec_file, monkeypatch, args):
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("work started on malformed input")
+
+    for name in ("mc_estimate", "quotient_check", "evaluate_state", "limit_sweep"):
+        monkeypatch.setattr(cli, name, no_work)
+    if args[0] in ("model", "limits"):
+        args = args + ["--spec", spec_file]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
 
 
 def test_oversized_expansion_exits_2_before_expanding(runner, tmp_path):

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from monotensor import haar
 from monotensor.haar import (
     CornerFamily,
     DiagPatternFamily,
@@ -140,8 +141,13 @@ def test_mc_estimate_reproducible():
         assert a_row.target == b_row.target
 
 
-def test_mc_estimate_force_identity_collapses_spread():
-    rep = mc_estimate(_spec(force_identity=True))
+def _identity_unitary(n, rng):
+    return np.eye(n, dtype=np.complex128)
+
+
+def test_mc_estimate_force_identity_collapses_spread(monkeypatch):
+    monkeypatch.setattr(haar, "sample_haar_unitary", _identity_unitary)
+    rep = mc_estimate(_spec())
     for row in rep.rows:
         assert row.stderr == 0.0
         assert np.all(row.values == row.values[0])
@@ -195,8 +201,9 @@ def test_rate_check_degenerate_on_exact_values():
         rate_check(McReport(spec=_spec(), rows=rows[:1]))
 
 
-def test_moment_bound_guard():
-    spec = _spec(moment_bound=0.1)
+def test_moment_bound_guard(monkeypatch):
+    monkeypatch.setattr(haar, "MOMENT_BOUND", 0.1)
+    spec = _spec()
     with pytest.raises(ValueError):
         mc_estimate(spec)
 
@@ -258,11 +265,12 @@ def test_mc_first_moment_is_exact():
         assert row.abs_err <= 3.0 * row.stderr
 
 
-def test_rate_check_identity_unitary_negative_control():
+def test_rate_check_identity_unitary_negative_control(monkeypatch):
     # Forcing U = I freezes the word value at a nonzero constant, so the
     # deviation from the factorized target does not decay; the slope
     # sits near zero and the rate window check fails as it should.
-    spec = _spec(n_list=(8, 16, 32), trials=5, force_identity=True)
+    monkeypatch.setattr(haar, "sample_haar_unitary", _identity_unitary)
+    spec = _spec(n_list=(8, 16, 32), trials=5)
     fit = rate_check(mc_estimate(spec), resamples=20)
     assert not fit.degenerate
     assert abs(fit.slope) <= 0.05

@@ -12,7 +12,15 @@ from monotensor.moments import (
     moment_via_quotient,
     monotone_moment,
 )
-from monotensor.words import CenteredRun, Letter, NCPolynomial, quotient_map
+from monotensor.words import (
+    CenteredRun,
+    Letter,
+    NCPolynomial,
+    center_expand,
+    parse_polynomial,
+    poly_isclose,
+    quotient_map,
+)
 
 # Two a-generators and an orthonormal pair of b-generators.  Runs of up to
 # six indices cover every state value a word of four atoms can need.
@@ -56,6 +64,9 @@ COEFFS = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))
 POLYS = st.dictionaries(words(), COEFFS, max_size=4).map(NCPolynomial)
 WIDE_POLYS = st.dictionaries(words(WIDE_B_ATOMS), COEFFS, max_size=4).map(NCPolynomial)
 LETTER_POLYS = st.dictionaries(words(WIDE_B_LETTERS), COEFFS, max_size=4).map(NCPolynomial)
+# Plain letters in any order, the unit word and b-only words included.
+PLAIN_WORDS = st.lists(A_LETTERS | WIDE_B_LETTERS, max_size=4).map(tuple)
+PLAIN_POLYS = st.dictionaries(PLAIN_WORDS, COEFFS, max_size=4).map(NCPolynomial)
 SCALES = st.floats(1e-20, 1e20) | st.floats(-1e20, -1e-20)
 
 FEW = settings(max_examples=25, deadline=None)
@@ -84,9 +95,12 @@ def test_functionals_scale(p, s):
 @FEW
 @given(POLYS, POLYS)
 def test_quotient_map_is_linear(p, r):
-    lhs = quotient_map(p + 2.0 * r, DATA.b_table)
-    rhs = quotient_map(p, DATA.b_table).added(quotient_map(2.0 * r, DATA.b_table))
-    assert lhs.isclose(rhs)
+    kept, dropped = quotient_map(p + 2.0 * r, DATA.b_table)
+    p_kept, p_dropped = quotient_map(p, DATA.b_table)
+    r_kept, r_dropped = quotient_map(2.0 * r, DATA.b_table)
+    assert poly_isclose(kept, p_kept + r_kept)
+    assert poly_isclose(dropped, p_dropped + r_dropped)
+    assert kept + dropped == center_expand(p + 2.0 * r, DATA.b_table)
 
 
 @FEW
@@ -126,6 +140,13 @@ def test_trusted_results_match_the_public_constructor(p, r):
 def test_text_and_json_round_trips_keep_coded_words(p, r):
     assert NCPolynomial.from_json_obj(p.to_json_obj()).terms == p.terms
     assert NCPolynomial.parse(str(r)).terms == r.terms
+
+
+@FEW
+@given(PLAIN_POLYS)
+def test_text_form_parses_back(p):
+    # Gaussian-integer coefficients, which %g prints exactly.
+    assert parse_polynomial(str(p)) == p
 
 
 @FEW

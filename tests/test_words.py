@@ -19,11 +19,11 @@ from monotensor.words import (
     parse_polynomial,
     poly_isclose,
     quotient_map,
-    quotient_map_with_remainder,
     split_runs,
 )
 
 ORTHO = BMomentTable.orthonormal(2)
+ZERO = NCPolynomial.zero()
 
 
 def test_letter_validation():
@@ -144,47 +144,32 @@ def test_center_expand_pair_run():
 
 def test_quotient_classification():
     table = ORTHO
-    el = quotient_map(a(1), table)
-    assert el.part_a == {(1,): 1.0}
-
-    el = quotient_map(a(1) * b(1), table)
-    assert el.part_ab == {((1,), (1,)): 1.0}
-    assert not el.part_a and not el.part_ba and not el.part_bab
-
-    el = quotient_map(b(1) * a(1), table)
-    assert el.part_ba == {((1,), (1,)): 1.0}
-
-    el = quotient_map(b(2) * a(1) * a(2) * b(1), table)
-    assert el.part_bab == {((2,), (1, 2), (1,)): 1.0}
+    assert quotient_map(a(1), table) == (a(1), ZERO)
+    assert quotient_map(a(1) * b(1), table) == (a(1) * b_centered(1), ZERO)
+    assert quotient_map(b(1) * a(1), table) == (b_centered(1) * a(1), ZERO)
+    assert quotient_map(b(2) * a(1) * a(2) * b(1), table) == (
+        b_centered(2) * a(1) * a(2) * b_centered(1), ZERO
+    )
 
 
 def test_quotient_mean_shifts_between_parts():
     # tau(b1) = 1/2 splits b1 a1 into the centered leg plus half the
     # bare a-word.
     table = BMomentTable({(1,): 0.5, (1, 1): 1.0}, q=1)
-    el = quotient_map(b(1) * a(1), table)
-    assert el.part_ba == {((1,), (1,)): 1.0}
-    assert el.part_a == {(1,): 0.5}
+    assert quotient_map(b(1) * a(1), table) == (b_centered(1) * a(1) + 0.5 * a(1), ZERO)
 
 
 def test_quotient_two_legs_go_to_remainder():
-    el, rem = quotient_map_with_remainder(a(1) * b(1) * a(1), ORTHO)
-    assert el.is_zero()
-    (word, coeff), = rem.sorted_terms()
-    assert coeff == 1.0
-    assert word == (Letter("A", 1), CenteredRun((1,)), Letter("A", 1))
+    assert quotient_map(a(1) * b(1) * a(1), ORTHO) == (ZERO, a(1) * b_centered(1) * a(1))
 
 
 def test_quotient_inner_pair_run_mean_merges_a_letters():
     # a1 b1 b1 a1: the inner run's mean tau(b1 b1) = 1 merges the two
     # a-letters into one bare a-word, while the fully centered leftover
     # a1 (b1 b1)degree a1 is annihilated.
-    el, rem = quotient_map_with_remainder(a(1) * b(1) * b(1) * a(1), ORTHO)
-    assert el.part_a == {(1, 1): 1.0}
-    assert not el.part_ab and not el.part_ba and not el.part_bab
-    (word, coeff), = rem.sorted_terms()
-    assert coeff == 1.0
-    assert word == (Letter("A", 1), CenteredRun((1, 1)), Letter("A", 1))
+    assert quotient_map(a(1) * b(1) * b(1) * a(1), ORTHO) == (
+        a(1) * a(1), a(1) * NCPolynomial.from_word((CenteredRun((1, 1)),)) * a(1)
+    )
 
 
 def test_quotient_requires_a_letters():
@@ -197,9 +182,12 @@ def test_quotient_requires_a_letters():
 def test_quotient_linearity():
     p = a(1) * b(1) + 2.0 * (b(1) * a(1) * b(2))
     r = b(2) * a(1)
-    lhs = quotient_map(p + r, ORTHO)
-    rhs = quotient_map(p, ORTHO).added(quotient_map(r, ORTHO))
-    assert lhs.isclose(rhs)
+    kept, dropped = quotient_map(p + r, ORTHO)
+    p_kept, p_dropped = quotient_map(p, ORTHO)
+    r_kept, r_dropped = quotient_map(r, ORTHO)
+    assert poly_isclose(kept, p_kept + r_kept)
+    assert poly_isclose(dropped, p_dropped + r_dropped)
+    assert kept + dropped == center_expand(p + r, ORTHO)
 
 
 def test_json_round_trip_plain_and_centered():
@@ -237,6 +225,12 @@ def test_json_round_trip_centered_run():
 def test_str_form():
     assert str(a(1) * b(2)) == "a1 b2"
     assert str(NCPolynomial.zero()) == "0"
+    # A unit-word term prints as its coefficient alone, which parses back.
+    assert str(NCPolynomial.one()) == "1"
+    assert str(2 * NCPolynomial.one() + a(1)) == "2 + a1"
+    assert str(1j - 0.5 * a(1)) == "(0+1j) + -0.5 a1"
+    for p in (NCPolynomial.one(), 2 * NCPolynomial.one() + a(1), 1j - 0.5 * a(1)):
+        assert parse_polynomial(str(p)) == p
 
 
 def test_terms_are_coded_and_sorted_terms_decode():
