@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -172,9 +174,7 @@ def _check_moment_bounds(spec: HaarWordSpec, n: int, a_mats, b_mats) -> None:
                 f"A-word trace {abs(np.trace(prod)):.3g} exceeds the bound {c}"
             )
     for j, m in enumerate(b_mats, start=1):
-        power = np.eye(n, dtype=np.complex128)
-        for _ in range(len(spec.word)):
-            power = power @ m
+        for power in accumulate(repeat(m, len(spec.word)), np.matmul):
             if abs(np.trace(power)) / n > c:
                 raise ValueError(f"normalized trace of a b{j}-power exceeds {c}")
 
@@ -185,23 +185,18 @@ def word_value(spec: HaarWordSpec, n: int, l: int, u: np.ndarray,
     if a_mats is None or b_mats is None:
         a_mats, b_mats = realize_families(spec, n)
     uh = u.conj().T
-    acc = np.eye(n, dtype=np.complex128)
-    for tag, idx in spec.word:
-        if tag == "A":
-            acc = acc @ a_mats[idx - 1]
-        else:
-            acc = acc @ (u @ b_mats[idx - 1] @ uh)
-    return linalg.partial_trace(acc, l)
+    factors = (
+        a_mats[idx - 1] if tag == "A" else u @ b_mats[idx - 1] @ uh
+        for tag, idx in spec.word
+    )
+    return linalg.partial_trace(reduce(np.matmul, factors), l)
 
 
 def target_value(spec: HaarWordSpec, n: int, l: int, a_mats=None, b_mats=None) -> complex:
     """The limit target: truncated A-word sum times b normalized traces."""
     if a_mats is None or b_mats is None:
         a_mats, b_mats = realize_families(spec, n)
-    prod = np.eye(n, dtype=np.complex128)
-    for tag, idx in spec.word:
-        if tag == "A":
-            prod = prod @ a_mats[idx - 1]
+    prod = reduce(np.matmul, (a_mats[idx - 1] for tag, idx in spec.word if tag == "A"))
     value = linalg.partial_trace(prod, l)
     leading = spec.word[0][0] == "B"
     for pos, (tag, idx) in enumerate(spec.word):

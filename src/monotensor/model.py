@@ -9,6 +9,15 @@ the FIRST n diagonal positions: the full trace of a polynomial power
 recovers the cyclic moment, the sum of the first n diagonal entries
 recovers the monotone moment, and truncated diagonal sums interpolate
 between the two iterated limits.
+
+``build_model`` never forms that space.  A flip is an XOR on the 2^q
+label and ``a`` acts at label 0 only, so each word of the polynomial is
+one block ``E_{L,R} (x) M``: L and R are the labels its lead and trail
+b-runs send label 0 to, and M is the product of its a-matrices.  The
+model keeps the reachable labels and, in each, the first ``base``
+positions (the size of the a-matrices); every other row and column of
+every power is zero.  ``build_dense_model`` forms the Kronecker
+matrices; it is the oracle, and it serves the worked example.
 """
 from __future__ import annotations
 
@@ -28,8 +37,16 @@ from .moments import (
 )
 from .words import NCPolynomial, check_expansion
 
-#: Largest model dimension n * 2^q a spec may request.
-DIM_CAP = 4096
+#: Most bytes of matrices a model build may plan to hold at once (1 GiB).
+#: Both builders check their estimate against it before they allocate.
+MEMORY_CAP = 2**30
+
+#: Compressed matrices alive at once while a power is taken: the model
+#: matrix, the running power and the next one.
+LIVE_MATRICES = 3
+
+#: Bytes of one complex128 entry.
+ENTRY_BYTES = 16
 
 #: Largest polynomial power evaluate_state accepts.
 POWER_CAP = 32
@@ -84,10 +101,6 @@ class ModelSpec:
             raise ValueError(
                 f"a-matrices of dimension {base} do not fit in n={self.n}"
             )
-        if self.n * 2**self.q > DIM_CAP:
-            raise ValueError(
-                f"model dimension {self.n * 2 ** self.q} exceeds cap {DIM_CAP}"
-            )
         if self.poly.max_letter_index("A") > len(mats):
             raise ValueError("polynomial uses an a-index with no matrix")
         if self.poly.max_letter_index("B") > self.q:
@@ -114,6 +127,105 @@ class ModelSpec:
 
 @dataclass
 class TensorModel:
+    """The model on its reachable blocks.
+
+    Row ``r * base + i`` of ``poly_matrix`` is row ``labels[r] * n + i``
+    of the n*2^q matrix, so both orders agree; the rows left out are zero.
+    """
+
+    n: int
+    q: int
+    base: int
+    labels: tuple
+    poly_matrix: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.n * 2**self.q
+
+
+def _check_memory(nbytes: int, what: str) -> None:
+    if nbytes > MEMORY_CAP:
+        raise ValueError(
+            f"{what} needs about {nbytes} bytes of matrices, "
+            f"which exceeds the memory cap of {MEMORY_CAP}"
+        )
+
+
+def _word_block(word, q: int):
+    """``(L, a_indices, R)`` of a coded word, or None when its matrix is 0.
+
+    ``b_j`` flips bit ``q - j`` of the label (slot 1 is the most
+    significant bit, as in :func:`flip_factor`).  A centered run is its
+    flip minus its normalized trace: the flip itself, or zero when the
+    flips cancel.  A run between two a-letters must fix label 0.
+    """
+    a_indices = []
+    lead = label = 0
+    for atom in word:
+        if isinstance(atom, tuple):
+            mask = 0
+            for j in atom:
+                mask ^= 1 << (q - j)
+            if not mask:
+                return None
+            label ^= mask
+        elif atom < 0:
+            label ^= 1 << (q + atom)
+        else:
+            if not a_indices:
+                lead = label
+            elif label:
+                return None
+            a_indices.append(atom)
+            label = 0
+    return lead, a_indices, label
+
+
+def build_model(spec: ModelSpec) -> TensorModel:
+    """Realize the spec's polynomial on its reachable (label, a-support) blocks."""
+    blocks = [
+        (coeff, block)
+        for word, coeff in spec.poly.terms.items()
+        if (block := _word_block(word, spec.q)) is not None
+    ]
+    labels = sorted({x for _, (lead, _, trail) in blocks for x in (lead, trail)})
+    base = spec.a_matrices[0].shape[0]
+    size = len(labels) * base
+    _check_memory(
+        LIVE_MATRICES * size**2 * ENTRY_BYTES,
+        f"a model of {len(labels)} labels of size {base}",
+    )
+    start = {label: r * base for r, label in enumerate(labels)}
+    acc = np.zeros((size, size), dtype=np.complex128)
+    for coeff, (lead, a_indices, trail) in blocks:
+        m = spec.a_matrices[a_indices[0] - 1]
+        for i in a_indices[1:]:
+            m = m @ spec.a_matrices[i - 1]
+        r, c = start[lead], start[trail]
+        acc[r:r + base, c:c + base] += coeff * m
+    return TensorModel(
+        n=spec.n, q=spec.q, base=base, labels=tuple(labels), poly_matrix=acc
+    )
+
+
+def state_value(model: TensorModel, m: np.ndarray, l: int) -> complex:
+    """Sum of the first ``l`` diagonal entries of ``m`` in the n*2^q space.
+
+    ``m`` is a matrix on the model's blocks, such as a power of its
+    ``poly_matrix``.  Position ``label * n + i`` of the full space is
+    position ``r * base + i`` here, in the same order, so the first ``l``
+    full positions are a prefix of this diagonal.
+    """
+    if not 0 <= l <= model.dim:
+        raise ValueError(f"l must lie in [0, {model.dim}], got {l}")
+    n, base = model.n, model.base
+    kept = sum(min(base, l - label * n) for label in model.labels if label * n < l)
+    return linalg.partial_trace(m, kept)
+
+
+@dataclass
+class DenseTensorModel:
     n: int
     q: int
     dim: int
@@ -122,8 +234,16 @@ class TensorModel:
     poly_matrix: np.ndarray
 
 
-def build_model(spec: ModelSpec) -> TensorModel:
-    """Realize the spec's polynomial as a dim x dim matrix."""
+def build_dense_model(spec: ModelSpec) -> DenseTensorModel:
+    """Realize the spec's polynomial as a dim x dim Kronecker matrix.
+
+    The oracle of :func:`build_model`; it also serves the worked example.
+    """
+    dim = spec.dim
+    _check_memory(
+        (len(spec.a_matrices) + spec.q + 3) * dim**2 * ENTRY_BYTES,
+        f"a dense model of dimension {dim}",
+    )
     corner = corner_unit(spec.q)
     eye_n = np.eye(spec.n, dtype=np.complex128)
     a_reps = [
@@ -133,7 +253,6 @@ def build_model(spec: ModelSpec) -> TensorModel:
     b_reps = [
         linalg.kron(flip_factor(spec.q, j), eye_n) for j in range(1, spec.q + 1)
     ]
-    dim = spec.dim
     acc = np.zeros((dim, dim), dtype=np.complex128)
     # Every word holds an a-letter (ModelSpec checks), so none is empty.
     for word, coeff in spec.poly.terms.items():
@@ -141,7 +260,7 @@ def build_model(spec: ModelSpec) -> TensorModel:
         for atom in word[1:]:
             m = m @ _atom_matrix(atom, a_reps, b_reps, dim)
         acc = acc + coeff * m
-    return TensorModel(
+    return DenseTensorModel(
         n=spec.n, q=spec.q, dim=dim, a_reps=a_reps, b_reps=b_reps, poly_matrix=acc
     )
 
@@ -174,14 +293,15 @@ def evaluate_state(model: TensorModel, k: int, state) -> complex:
     ``state`` is ``"full"`` (trace), ``"monotone"`` (sum of the first n
     diagonal entries, i.e. the corner block), or ``("partial", l)``.
     """
-    mp = matrix_power(model.poly_matrix, k)
     if state == "full":
-        return linalg.trace(mp)
-    if state == "monotone":
-        return linalg.partial_trace(mp, model.n)
-    if isinstance(state, tuple) and len(state) == 2 and state[0] == "partial":
-        return linalg.partial_trace(mp, int(state[1]))
-    raise ValueError(f"unknown state {state!r}")
+        l = model.dim
+    elif state == "monotone":
+        l = model.n
+    elif isinstance(state, tuple) and len(state) == 2 and state[0] == "partial":
+        l = int(state[1])
+    else:
+        raise ValueError(f"unknown state {state!r}")
+    return state_value(model, matrix_power(model.poly_matrix, k), l)
 
 
 # -- verification against the symbolic evaluators -------------------------
@@ -218,7 +338,7 @@ def _verify(spec: ModelSpec, data: MomentData | None, k_max: int, rtol: float,
         data = spec.moment_data()
     model = build_model(spec)
     symbolic_eval = cyclic_moment if kind == "cyclic" else monotone_moment
-    state = "full" if kind == "cyclic" else "monotone"
+    l = model.dim if kind == "cyclic" else model.n
     rows = []
     pk, mk = spec.poly, model.poly_matrix
     for k in range(1, k_max + 1):
@@ -226,7 +346,7 @@ def _verify(spec: ModelSpec, data: MomentData | None, k_max: int, rtol: float,
             pk = pk * spec.poly
             mk = mk @ model.poly_matrix
         sym = symbolic_eval(pk, data)
-        mat = linalg.trace(mk) if state == "full" else linalg.partial_trace(mk, model.n)
+        mat = state_value(model, mk, l)
         residual = abs(sym - mat)
         rows.append(
             VerifyRow(
@@ -289,16 +409,18 @@ def limit_sweep(spec: ModelSpec, k: int, n_list, l_list,
     traces = {}
     corners = {}
     values = {}
+    mp = None
     for n in n_list:
         model = build_model(spec.with_n(n))
-        mp = matrix_power(model.poly_matrix, k)
-        traces[n] = linalg.trace(mp)
-        corners[n] = linalg.partial_trace(mp, n)
+        if mp is None:  # the blocks, so the power, do not depend on n
+            mp = matrix_power(model.poly_matrix, k)
+        traces[n] = state_value(model, mp, model.dim)
+        corners[n] = state_value(model, mp, n)
         for l in l_list:
             if l <= model.dim:
-                values[(n, l)] = linalg.partial_trace(mp, l)
+                values[(n, l)] = state_value(model, mp, l)
                 rows.append((n, l, values[(n, l)]))
-        values[(n, model.dim)] = linalg.partial_trace(mp, model.dim)
+        values[(n, model.dim)] = traces[n]
 
     n0 = n_list[0]
     n_top = n_list[-1]
@@ -372,8 +494,8 @@ def build_example_pair(eigenvalues=(0.5, 0.25, 0.125)) -> ExamplePair:
     y_spec = ModelSpec(
         n=n, q=1, a_matrices=(diag,), poly=NCPolynomial.parse("a1 b1 + b1 a1")
     )
-    x_matrix = build_model(x_spec).poly_matrix
-    y_matrix = build_model(y_spec).poly_matrix
+    x_matrix = build_dense_model(x_spec).poly_matrix
+    y_matrix = build_dense_model(y_spec).poly_matrix
     x_expected = np.sort(np.concatenate([eigs, eigs]))[::-1]
     y_expected = np.sort(np.concatenate([eigs, -eigs]))[::-1]
     return ExamplePair(

@@ -95,9 +95,10 @@ class CenteredRun:
 Atom = Letter | CenteredRun
 Word = tuple  # tuple of coded atoms (int or tuple); () is the unit word.
 
-#: Largest term count ``len(p.terms) ** k`` that an expansion of ``p**k``
-#: may reach; see :func:`check_expansion`.
-EXPANSION_CAP = 2**18
+#: Largest atom count ``len(p.terms) ** k * longest * k`` that an expansion
+#: of ``p**k`` may reach, ``longest`` being the longest word of ``p``; see
+#: :func:`check_expansion`.  ``a1 + a2`` reaches it at k = 18.
+EXPANSION_CAP = 18 * 2**18
 
 
 def a(i: int) -> "NCPolynomial":
@@ -155,16 +156,22 @@ def _word_sort_key(word: Word):
 
 
 def check_expansion(p: "NCPolynomial", k: int) -> None:
-    """Reject ``p**k`` before expanding when ``len(p.terms) ** k`` tops the cap.
+    """Reject ``p**k`` before expanding when its atoms could top the cap.
 
-    Raises ``ValueError`` above :data:`EXPANSION_CAP`.  The exponent is
-    clipped, so a huge ``k`` costs nothing to check.
+    ``p**k`` has at most ``len(p.terms) ** k`` words of at most ``k`` times
+    the longest word of ``p`` atoms each; raises ``ValueError`` when that
+    product exceeds :data:`EXPANSION_CAP`.  The exponent of the term count
+    is clipped, so a huge ``k`` costs nothing to check.
     """
+    k = operator.index(k)
     n = len(p.terms)
-    if n > 1 and n ** min(operator.index(k), EXPANSION_CAP.bit_length()) > EXPANSION_CAP:
+    longest = max(map(len, p.terms), default=0)
+    atoms = n ** min(k, EXPANSION_CAP.bit_length()) * longest * k
+    if atoms > EXPANSION_CAP:
         raise ValueError(
-            f"expanding {n} terms to the power {k} can give up to {n}**{k} words, "
-            f"above the cap of {EXPANSION_CAP}"
+            f"expanding {n} terms of up to {longest} atoms to the power {k} can "
+            f"give up to {n}**{k} words of {longest * k} atoms, above the cap "
+            f"of {EXPANSION_CAP} atoms"
         )
 
 

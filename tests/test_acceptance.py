@@ -20,8 +20,8 @@ from monotensor.haar import (
 )
 from monotensor.model import (
     ModelSpec,
+    build_dense_model,
     build_example_pair,
-    build_model,
     corner_unit,
     flip_factor,
     limit_sweep,
@@ -210,7 +210,7 @@ def test_criterion_9_structural_exactness():
             n=2, q=q, a_matrices=(np.eye(2) * 0.5,),
             poly=NCPolynomial.parse("a1 b1"),
         )
-        model = build_model(spec)
+        model = build_dense_model(spec)
         eye = np.eye(model.dim)
         for bm in model.b_reps:
             if not np.array_equal(bm @ bm, eye):

@@ -300,3 +300,21 @@ def test_oversized_expansion_exits_2_before_expanding(runner, tmp_path):
         assert result.exit_code == 2, result.output
         assert "cap" in result.output
     assert time.monotonic() - t0 < 5.0
+
+
+def test_long_words_reach_the_atom_cap_sooner(runner, tmp_path):
+    # Two terms of seven atoms: the cap counts atoms, so these stop at a
+    # lower power than a1 + a2 (k = 18), before anything is expanded.
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({
+        "n": 2, "q": 1, "poly": "b1 a1 b1 a1 b1 a1 b1 + a1 b1 a1 b1 a1 b1 a1",
+        "a": [{"eigenvalues": [0.5, 0.25]}],
+    }))
+    result = runner.invoke(main, ["verify-cyclic", "--k-max", "4", "--spec", str(path)])
+    assert result.exit_code == 0, result.output
+    t0 = time.monotonic()
+    for k in ("16", "18"):
+        result = runner.invoke(main, ["verify-cyclic", "--k-max", k, "--spec", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "cap" in result.output
+    assert time.monotonic() - t0 < 5.0

@@ -3,10 +3,11 @@ import numpy as np
 import pytest
 
 import _reference as ref
+from monotensor import model as model_module
 from monotensor.model import (
-    DIM_CAP,
     FLIP,
     ModelSpec,
+    build_dense_model,
     build_example_pair,
     build_model,
     corner_unit,
@@ -44,7 +45,7 @@ def test_corner_unit_is_rank_one():
 
 
 def test_generator_matrices_match_reference():
-    model = build_model(_example_spec())
+    model = build_dense_model(_example_spec())
     assert np.array_equal(model.a_reps[0], ref.A6)
     assert np.array_equal(model.b_reps[0], ref.B6)
 
@@ -95,9 +96,9 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ModelSpec(n=3, q=1, a_matrices=(np.diag(ref.EIGS),),
                   poly=NCPolynomial.parse("a1 b2"))
-    with pytest.raises(ValueError):
-        ModelSpec(n=2048, q=4, a_matrices=(np.eye(2),),
-                  poly=NCPolynomial.parse("a1"))
+    with pytest.raises(ValueError, match="exceeds the memory cap"):
+        build_dense_model(ModelSpec(n=2048, q=4, a_matrices=(np.eye(2),),
+                                    poly=NCPolynomial.parse("a1")))
     with pytest.raises(ValueError):
         ModelSpec(n=3, q=1, a_matrices=(np.array([[0.0, 1.0], [0.0, 0.0]]),),
                   poly=NCPolynomial.parse("a1"))
@@ -207,7 +208,7 @@ def test_structural_involution_and_commutation():
             n=2, q=q, a_matrices=(np.eye(2) * 0.5,),
             poly=NCPolynomial.parse("a1 b1"),
         )
-        model = build_model(spec)
+        model = build_dense_model(spec)
         dim = model.dim
         for bm in model.b_reps:
             assert np.array_equal(bm @ bm, np.eye(dim))
@@ -218,7 +219,7 @@ def test_structural_involution_and_commutation():
                 assert np.array_equal(lhs, rhs)
 
 
-def test_model_spec_json_forms():
+def test_model_spec_json_forms(monkeypatch):
     obj = {
         "n": 3,
         "q": 1,
@@ -242,8 +243,10 @@ def test_model_spec_json_forms():
         model_spec_from_json_obj({"n": 2, "q": 1, "poly": "a1"})
     with pytest.raises(ParseError):
         model_spec_from_json_obj({**obj, "poly": "a1 +"})
-    with pytest.raises(ValueError, match="exceeds cap"):
-        model_spec_from_json_obj({**obj, "n": DIM_CAP})
+    # Six bytes short of three 6 x 6 complex matrices.
+    monkeypatch.setattr(model_module, "MEMORY_CAP", 3 * 36 * 16 - 6)
+    with pytest.raises(ValueError, match="exceeds the memory cap"):
+        build_model(model_spec_from_json_obj({**obj, "n": 4096}))
 
 
 def test_q_zero_model_is_plain_polynomial():
@@ -308,7 +311,7 @@ def test_a_rep_products_stay_in_corner():
     a2m = np.array([[0.0, 1.0], [1.0, 5.0]])
     spec = ModelSpec(n=2, q=2, a_matrices=(a1m, a2m),
                      poly=NCPolynomial.parse("a1 b1 a2"))
-    model = build_model(spec)
+    model = build_dense_model(spec)
     want = np.kron(corner_unit(2), a1m @ a2m)
     assert np.array_equal(model.a_reps[0] @ model.a_reps[1], want)
 

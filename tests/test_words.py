@@ -259,11 +259,13 @@ def test_print_order_is_a_then_b_then_runs():
 
 def test_expansion_cap_rejects_before_expanding():
     p = a(1) + a(2)
-    check_expansion(p, EXPANSION_CAP.bit_length() - 1)  # exactly at the cap
-    for k in (EXPANSION_CAP.bit_length(), 40, 10**12):
+    check_expansion(p, 18)  # 2**18 words of 18 atoms: exactly at the cap
+    for k in (19, 40, 10**12):
         with pytest.raises(ValueError, match="cap"):
             check_expansion(p, k)
     with pytest.raises(ValueError, match="cap"):
         p ** 40
-    # One term never grows.
-    check_expansion(a(1), 10**12)
+    # One term keeps one word, which grows by one word of p per power.
+    check_expansion(a(1), EXPANSION_CAP)
+    with pytest.raises(ValueError, match="cap"):
+        check_expansion(a(1), EXPANSION_CAP + 1)
