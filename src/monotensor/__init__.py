@@ -7,7 +7,8 @@ The package has three layers:
   survive either functional and the words both annihilate
   (``words``, ``moments``);
 - a finite-dimensional tensor model whose diagonal states reproduce both
-  functionals exactly (``model``);
+  functionals exactly, taken on its reachable blocks, with the dense
+  Kronecker form as its oracle (``model``);
 - randomized conjugation experiments that approach the same targets at
   a 1/n rate (``haar``), plus shared linear algebra, sampling, and
   report formatting helpers.

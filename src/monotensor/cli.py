@@ -227,10 +227,7 @@ def limits(spec_path, k, n_text, l_text, tolerance, fmt, output):
     n_list = _ints(n_text) if n_text else [spec.n, 2 * spec.n, 4 * spec.n]
     if not n_list:
         raise _fail("--n needs at least one dimension")
-    if l_text == "auto":
-        l_list = list(range(1, min(n_list) + 1)) + [n * 2**spec.q for n in n_list]
-    else:
-        l_list = _ints(l_text)
+    l_list = None if l_text == "auto" else _ints(l_text)
     try:
         report = limit_sweep(spec, k, n_list, l_list, tol=tolerance)
         data = spec.moment_data()

@@ -51,6 +51,14 @@ ENTRY_BYTES = 16
 #: Largest polynomial power evaluate_state accepts.
 POWER_CAP = 32
 
+#: Largest q a spec may have.  ``moment_data`` builds the orthonormal
+#: b-table for every run of up to 4 indices, q + q^2 + q^3 + q^4 of them
+#: (22,620 at q = 12), before any check can run.
+MAX_Q = 12
+
+#: Most (n, l) cells limit_sweep tabulates.
+SWEEP_CELL_CAP = 2**16
+
 #: 2x2 flip (the off-diagonal permutation); its square is the identity.
 FLIP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 
@@ -85,8 +93,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        if self.q < 0:
-            raise ValueError("q must be non-negative")
+        if not 0 <= self.q <= MAX_Q:
+            raise ValueError(f"q must lie in 0..{MAX_Q}, got {self.q}")
         mats = tuple(linalg.as_matrix(m) for m in self.a_matrices)
         object.__setattr__(self, "a_matrices", mats)
         if not mats:
@@ -391,36 +399,50 @@ class LimitSweepReport:
         return self.cyclic_consistent and self.corner_consistent and self.monotone_limit_ok
 
 
-def limit_sweep(spec: ModelSpec, k: int, n_list, l_list,
+def limit_sweep(spec: ModelSpec, k: int, n_list, l_list=None,
                 tol: float = 1e-12) -> LimitSweepReport:
     """Tabulate truncated diagonal sums over a grid of n and l.
 
+    ``l_list=None`` takes every l in 1..min(n) plus each full dimension.
     Checks the finite-rank stabilization pattern: for each n the l-run
     ends exactly at the full trace (one iterated limit, the cyclic
     value), for each common l <= min(n) the value is independent of n
     and the stabilized column reaches the corner-block value (the other
-    iterated limit, the monotone value).
+    iterated limit, the monotone value).  The model's blocks do not
+    depend on n, so one power serves every n and the consistency flags
+    hold by construction; the table still shows the pattern.
     """
     n_list = sorted(set(int(n) for n in n_list))
-    l_list = sorted(set(int(l) for l in l_list))
-    if not n_list or not l_list:
+    if l_list is not None:
+        l_list = sorted(set(int(l) for l in l_list))
+    if not n_list or l_list == []:
         raise ValueError("need at least one n and one l")
+    l_count = n_list[0] + len(n_list) if l_list is None else len(l_list)
+    if len(n_list) * l_count > SWEEP_CELL_CAP:
+        raise ValueError(
+            f"a grid of {len(n_list)} n by {l_count} l exceeds the cap of "
+            f"{SWEEP_CELL_CAP} cells"
+        )
+    spec.with_n(n_list[0])  # the smallest n must hold the a-matrices
+    if l_list is None:
+        l_list = sorted(
+            set(range(1, n_list[0] + 1)) | {n * 2**spec.q for n in n_list}
+        )
+    model = build_model(spec)
+    mp = matrix_power(model.poly_matrix, k)
     rows = []
     traces = {}
     corners = {}
     values = {}
-    mp = None
     for n in n_list:
-        model = build_model(spec.with_n(n))
-        if mp is None:  # the blocks, so the power, do not depend on n
-            mp = matrix_power(model.poly_matrix, k)
-        traces[n] = state_value(model, mp, model.dim)
-        corners[n] = state_value(model, mp, n)
+        at_n = dataclasses.replace(model, n=n)
+        traces[n] = state_value(at_n, mp, at_n.dim)
+        corners[n] = state_value(at_n, mp, n)
         for l in l_list:
-            if l <= model.dim:
-                values[(n, l)] = state_value(model, mp, l)
+            if l <= at_n.dim:
+                values[(n, l)] = state_value(at_n, mp, l)
                 rows.append((n, l, values[(n, l)]))
-        values[(n, model.dim)] = traces[n]
+        values[(n, at_n.dim)] = traces[n]
 
     n0 = n_list[0]
     n_top = n_list[-1]

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from monotensor import cli
+from monotensor import model as model_module
 from monotensor.cli import main
 
 SPEC_OBJ = {
@@ -317,4 +318,38 @@ def test_long_words_reach_the_atom_cap_sooner(runner, tmp_path):
         result = runner.invoke(main, ["verify-cyclic", "--k-max", k, "--spec", str(path)])
         assert result.exit_code == 2, result.output
         assert "cap" in result.output
+    assert time.monotonic() - t0 < 5.0
+
+
+def test_spec_with_q_above_the_cap_exits_2_before_any_table(runner, tmp_path):
+    # moment_data would build q + q^2 + q^3 + q^4 b-runs (about 1e8 at
+    # q = 100); the spec is refused when it is read.
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "n": 1, "q": 100, "poly": "a1", "a": [{"eigenvalues": [0.5]}],
+    }))
+    t0 = time.monotonic()
+    for args in (["verify-cyclic"], ["verify-monotone"], ["limits"],
+                 ["verify-quotient"], ["model"]):
+        result = runner.invoke(main, args + ["--spec", str(path)])
+        assert result.exit_code == 2, (args, result.output)
+        assert "q must lie in 0..12" in result.output
+    assert time.monotonic() - t0 < 5.0
+
+
+def test_limits_grid_above_the_cap_exits_2_before_any_work(runner, tmp_path, monkeypatch):
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("work started on an oversized grid")
+
+    monkeypatch.setattr(model_module, "build_model", no_work)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "n": 2**30, "q": 1, "poly": "a1 + b1 a1 b1", "a": [{"eigenvalues": [0.5]}],
+    }))
+    t0 = time.monotonic()
+    for extra in ([], ["--n", "65536"], ["--l", ",".join(map(str, range(1, 30000))),
+                                         "--n", "1,2,3"]):
+        result = runner.invoke(main, ["limits", "--k", "2", "--spec", str(path)] + extra)
+        assert result.exit_code == 2, (extra, result.output)
+        assert "cells" in result.output
     assert time.monotonic() - t0 < 5.0
