@@ -271,20 +271,19 @@ def tables(moments_path, fmt, output):
 @click.option("--word", default="ABAB", show_default=True)
 @click.option("--n", "n_text", default="64,128,256", show_default=True)
 @click.option("--l", "l_rule", default="full", show_default=True,
-              help="full, half, or an explicit integer.")
+              help="full (cyclic target), half or an integer (monotone target); "
+                   "half needs a word that starts with an A.")
 @click.option("--trials", default=400, show_default=True)
 @click.option("--seed", default=7, show_default=True)
 @click.option("--family", "family_path", type=click.Path(exists=True), default=None,
               help="JSON with 'a' (eigenvalue blocks) and 'b' (diagonal patterns).")
-@click.option("--drop-leading-trace", is_flag=True, default=False,
-              help="Exclude a leading B's normalized trace from the target.")
 @click.option("--c-rate", type=float, default=None,
               help="Frozen 1/n constant; calibrated at the smallest n when absent.")
 @click.option("--slope-window", default="-1.6,-0.7", show_default=True)
 @click.option("--output", type=click.Path(writable=True), default=None)
 @click.option("--fit-output", type=click.Path(writable=True), default=None)
-def haar(word, n_text, l_rule, trials, seed, family_path, drop_leading_trace,
-         c_rate, slope_window, output, fit_output):
+def haar(word, n_text, l_rule, trials, seed, family_path, c_rate, slope_window,
+         output, fit_output):
     """Monte Carlo sweep of a conjugation word against its limit target."""
     a_families = (CornerFamily((0.5, 0.25, 0.125)),)
     b_families = (DiagPatternFamily((1.0, -1.0), (0.5, 0.5)),)
@@ -320,7 +319,6 @@ def haar(word, n_text, l_rule, trials, seed, family_path, drop_leading_trace,
             l_rule=l_rule,
             trials=trials,
             seed=seed,
-            include_leading_trace=not drop_leading_trace,
         )
         report = mc_estimate(spec)
         fit = rate_check(report)

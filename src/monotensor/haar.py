@@ -1,12 +1,13 @@
-"""Monte Carlo checks of the asymptotic factorization under conjugation.
+"""Monte Carlo checks of both functionals on one random matrix model.
 
-A word alternates fixed deterministic matrices A_i with B_j conjugated
-by one Haar unitary per trial.  As the dimension grows, the truncated
-diagonal sum of the word concentrates on the product of the A-word's
-truncated sum with the normalized traces of the B-letters; the
-deviation decays like 1/n.  ``mc_estimate`` runs the seeded experiment
-over a dimension sweep and ``rate_check`` fits the decay slope with a
-trial-resampling confidence band.
+A word multiplies fixed corner blocks A_i with diagonal patterns B_j,
+each B conjugated by one Haar unitary per trial.  As the dimension
+grows, the full trace of the word concentrates on its cyclic moment and
+the trace over a fixed number of top coordinates on its monotone
+moment, both taken on the families' moment data at that dimension.
+``mc_estimate`` runs the seeded experiment over a dimension sweep and
+``rate_check`` fits the decay slope with a trial-resampling confidence
+band.
 """
 from __future__ import annotations
 
@@ -18,7 +19,9 @@ from itertools import accumulate, repeat
 import numpy as np
 
 from . import linalg
+from .moments import AFamilyMoments, BMomentTable, MomentData, cyclic_moment, monotone_moment
 from .sampling import complex_gaussians, stream
+from .words import Letter, NCPolynomial, split_runs
 
 #: Largest |A-word trace| and normalized |b-power trace| a sweep accepts.
 MOMENT_BOUND = 100.0
@@ -83,20 +86,15 @@ class DiagPatternFamily:
             diag.extend([float(v)] * c)
         return np.diag(diag).astype(np.complex128)
 
-    def normalized_trace(self, n: int) -> complex:
-        m = self.realize(n)
-        return complex(np.trace(m)) / n
-
 
 @dataclass(frozen=True)
 class HaarWordSpec:
     """A conjugation word plus the families and sweep parameters.
 
-    ``word`` is a tuple of ("A", i) / ("B", j) pairs: an optional
-    leading B followed by strictly alternating A-B pairs ending in B.
-    ``include_leading_trace`` keeps the leading B's normalized trace in
-    the limit target (the asymptotics produce it); switch it off to
-    compare against the bare A-times-inner-B target instead.
+    ``word`` is a tuple of ("A", i) / ("B", j) pairs with at least one A.
+    ``l_rule`` "full" targets the cyclic functional of the word, "half"
+    or a fixed int the monotone one.  "half" is rejected on a word that
+    starts with a B: its limit is neither functional.
     """
 
     word: tuple
@@ -106,12 +104,14 @@ class HaarWordSpec:
     l_rule: object = "full"  # "full", "half", or an explicit int
     trials: int = 400
     seed: int = 7
-    include_leading_trace: bool = True
 
     def __post_init__(self):
         word = tuple((str(t).upper(), int(i)) for t, i in self.word)
         object.__setattr__(self, "word", word)
-        _validate_word(word)
+        if not any(tag == "A" for tag, _ in word):
+            raise ValueError("word needs at least one A")
+        if self.l_rule == "half" and word[0][0] == "B":
+            raise ValueError("l='half' has no target for a word that starts with a B")
         for tag, idx in word:
             fams = self.a_families if tag == "A" else self.b_families
             if not 1 <= idx <= len(fams):
@@ -130,18 +130,6 @@ class HaarWordSpec:
         if not 1 <= l <= n:
             raise ValueError(f"l={l} out of range for n={n}")
         return l
-
-
-def _validate_word(word) -> None:
-    if not word:
-        raise ValueError("empty word")
-    body = word[1:] if word[0][0] == "B" else word
-    if not body or len(body) % 2 != 0:
-        raise ValueError("word must be (optional B) followed by A-B pairs")
-    for pos, (tag, _) in enumerate(body):
-        expect = "A" if pos % 2 == 0 else "B"
-        if tag != expect:
-            raise ValueError("word must alternate A and B after the optional lead")
 
 
 def parse_word(text: str) -> tuple:
@@ -192,20 +180,27 @@ def word_value(spec: HaarWordSpec, n: int, l: int, u: np.ndarray,
     return linalg.partial_trace(reduce(np.matmul, factors), l)
 
 
-def target_value(spec: HaarWordSpec, n: int, l: int, a_mats=None, b_mats=None) -> complex:
-    """The limit target: truncated A-word sum times b normalized traces."""
-    if a_mats is None or b_mats is None:
-        a_mats, b_mats = realize_families(spec, n)
-    prod = reduce(np.matmul, (a_mats[idx - 1] for tag, idx in spec.word if tag == "A"))
-    value = linalg.partial_trace(prod, l)
-    leading = spec.word[0][0] == "B"
-    for pos, (tag, idx) in enumerate(spec.word):
-        if tag != "B":
-            continue
-        if pos == 0 and leading and not spec.include_leading_trace:
-            continue
-        value *= complex(np.trace(b_mats[idx - 1])) / n
-    return value
+def _target(spec: HaarWordSpec, n: int, l: int, a_mats, b_mats) -> complex:
+    """The cyclic moment of the word for ``l_rule`` "full", else its monotone one.
+
+    The a-data are the corner blocks cut to their top ``min(l, r)``
+    coordinates, ``r`` the largest block, which for diagonal families is
+    the trace over the first ``l``.  The b-table holds the normalized
+    trace of the realized product of each run the functionals read:
+    lead, inner runs, trail, and trail joined to lead.
+    """
+    word = NCPolynomial.from_word(Letter(tag, idx) for tag, idx in spec.word)
+    _, runs = split_runs(*word.terms)
+    tau = {}
+    for run in {*runs, runs[-1] + runs[0]} - {()}:
+        indices = tuple(-x for x in run)
+        product = reduce(np.matmul, (b_mats[j - 1] for j in indices))
+        tau[indices] = complex(np.trace(product)) / n
+    m = min(l, max(len(fam.eigenvalues) for fam in spec.a_families))
+    data = MomentData(AFamilyMoments([mat[:m, :m] for mat in a_mats]),
+                      BMomentTable(tau, q=len(b_mats)))
+    functional = cyclic_moment if spec.l_rule == "full" else monotone_moment
+    return functional(word, data)
 
 
 @dataclass
@@ -261,7 +256,7 @@ def mc_estimate(spec: HaarWordSpec) -> McReport:
         n = int(n)
         l = spec.resolve_l(n)
         a_mats, b_mats = realize_families(spec, n)
-        target = target_value(spec, n, l, a_mats, b_mats)
+        target = _target(spec, n, l, a_mats, b_mats)
         values = np.empty(spec.trials, dtype=np.complex128)
         for t in range(spec.trials):
             u = sample_haar_unitary(n, stream(spec.seed, n, t))
@@ -288,7 +283,9 @@ def rate_check(report: McReport, resamples: int = 200) -> RateFit:
 
     Fits log(mean |value - target|) on log(n); the confidence band
     resamples trials with replacement per dimension.  All-zero
-    deviations are flagged degenerate instead of fitted.
+    deviations are flagged degenerate instead of fitted.  A slope near
+    -1 is expected only for trace-free b-families: a b with nonzero
+    normalized trace gives deviations that decay like n^(-1/2).
     """
     rows = sorted(report.rows, key=lambda r: r.n)
     if len(rows) < 2:

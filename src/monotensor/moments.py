@@ -43,6 +43,11 @@ from .words import (
 
 TABLE_CHECK_TOL = 1e-12
 
+#: Most runs :meth:`BMomentTable.orthonormal` tabulates, q + q^2 + .. +
+#: q^max_len of them.  At the cap, runs of up to 16 indices over q = 2
+#: peak at 54 MiB while the table is built and take about 4 s.
+ORTHONORMAL_ENTRY_CAP = 2**17
+
 #: Smallest squared norm :func:`gram_schmidt` accepts as a pivot.
 PIVOT_TOL = 1e-10
 
@@ -105,6 +110,16 @@ class BMomentTable:
         """
         if q < 0:
             raise ValueError("q must be non-negative")
+        if not q:
+            max_len = 0  # no b-generators, no runs
+        entries = 0
+        for length in range(1, max_len + 1):
+            entries += q**length
+            if entries > ORTHONORMAL_ENTRY_CAP:
+                raise ValueError(
+                    f"the orthonormal table for q={q} and runs of up to {max_len} "
+                    f"indices holds more than {ORTHONORMAL_ENTRY_CAP} entries"
+                )
         values: dict[tuple[int, ...], float] = {}
         for length in range(1, max_len + 1):
             for run in iter_product(range(1, q + 1), repeat=length):

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from monotensor import cli
+from monotensor import haar as haar_module
 from monotensor import model as model_module
 from monotensor.cli import main
 
@@ -183,8 +184,18 @@ def test_haar_artifacts_are_byte_identical(runner, tmp_path):
 
 
 def test_haar_rejects_bad_word(runner):
-    result = runner.invoke(main, ["haar", "--word", "BABA", "--n", "8"])
+    result = runner.invoke(main, ["haar", "--word", "BB", "--n", "8"])
     assert result.exit_code == 2
+
+
+def test_haar_half_rejects_a_leading_b_before_any_trial(runner, monkeypatch):
+    def no_trial(*_args, **_kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(haar_module, "sample_haar_unitary", no_trial)
+    result = runner.invoke(main, ["haar", "--word", "BAB", "--l", "half", "--n", "8"])
+    assert result.exit_code == 2, result.output
+    assert "half" in result.output
 
 
 def test_haar_family_file(runner, tmp_path):
@@ -335,6 +346,37 @@ def test_spec_with_q_above_the_cap_exits_2_before_any_table(runner, tmp_path):
         assert result.exit_code == 2, (args, result.output)
         assert "q must lie in 0..12" in result.output
     assert time.monotonic() - t0 < 5.0
+
+
+@pytest.mark.parametrize("moments", [
+    {"eigenvalues": [0.5], "q": 100},
+    {"eigenvalues": [0.5], "q": 3, "tau_max_len": 40},
+], ids=["q-100", "runs-of-40"])
+def test_oversized_orthonormal_moments_exit_2_before_the_table(runner, spec_file,
+                                                               tmp_path, moments):
+    path = tmp_path / "moments.json"
+    path.write_text(json.dumps(moments))
+    t0 = time.monotonic()
+    for args in (["tables"], ["verify-cyclic", "--spec", spec_file]):
+        result = runner.invoke(main, args + ["--moments", str(path)])
+        assert result.exit_code == 2, (args, result.output)
+        assert "entries" in result.output
+    assert time.monotonic() - t0 < 5.0
+
+
+def test_spec_whose_runs_meet_into_six_verifies(runner, tmp_path):
+    # The trail b3 b2 b1 meets the lead b1 b2 b3 in p^2: a run of six.
+    path = tmp_path / "runs.json"
+    path.write_text(json.dumps({
+        "n": 2, "q": 3, "poly": "b1 b2 b3 a1 b3 b2 b1 + a1",
+        "a": [{"eigenvalues": [0.5, 0.25]}],
+    }))
+    for args in (["verify-cyclic", "--k-max", "4"], ["verify-monotone", "--k-max", "4"],
+                 ["limits", "--k", "2"]):
+        result = runner.invoke(main, args + ["--spec", str(path)])
+        assert result.exit_code == 0, (args, result.output)
+    result = runner.invoke(main, ["verify-cyclic", "--k-max", "2", "--spec", str(path)])
+    assert result.stdout.splitlines()[2] == "2,0.625+0j,0.625+0j,0,true"
 
 
 def test_limits_grid_above_the_cap_exits_2_before_any_work(runner, tmp_path, monkeypatch):

@@ -13,13 +13,15 @@ from monotensor.haar import (
     parse_word,
     rate_check,
     sample_haar_unitary,
-    target_value,
     word_value,
 )
 from monotensor.sampling import stream
 
 A_FAM = CornerFamily((0.5, 0.25, 0.125))
 B_BAL = DiagPatternFamily((1.0, -1.0), (0.5, 0.5))
+B_POS = DiagPatternFamily((1.0, 0.0), (0.5, 0.5))
+# tr(b) = 3/2 and tr(b^2) = 5/2: the cyclic and monotone values differ.
+B_12 = DiagPatternFamily((1.0, 2.0), (0.5, 0.5))
 
 
 def _spec(**kw):
@@ -60,10 +62,10 @@ def test_diag_pattern_counts():
     m = B_BAL.realize(6)
     diag = np.diag(m).real
     assert np.sum(diag == 1.0) == 3 and np.sum(diag == -1.0) == 3
-    assert B_BAL.normalized_trace(6) == 0.0
-    # Odd n still fills every slot and matches its own trace report.
+    assert np.trace(m) / 6 == 0.0
+    # Odd n still fills every slot: three +1 against two -1.
     m5 = B_BAL.realize(5)
-    assert np.trace(m5) / 5 == B_BAL.normalized_trace(5)
+    assert np.trace(m5) / 5 == 0.2
     with pytest.raises(ValueError):
         DiagPatternFamily((1.0,), (0.7,))
 
@@ -79,13 +81,14 @@ def test_parse_word():
 
 
 def test_word_shape_validation():
-    _spec(word=parse_word("BABAB"))  # leading b is fine
+    for text in ("BABAB", "BABA", "ABBA", "BBAB", "A"):
+        _spec(word=parse_word(text))  # any word with an A
     with pytest.raises(ValueError):
-        _spec(word=parse_word("BABA"))  # ends on an a-letter
-    with pytest.raises(ValueError):
-        _spec(word=parse_word("ABBA"))  # not alternating
+        _spec(word=parse_word("BB"))  # no a-letter
     with pytest.raises(ValueError):
         _spec(word=parse_word("A2B"))  # no second a-family
+    with pytest.raises(ValueError):
+        _spec(word=parse_word("BAB"), l_rule="half")  # leading b: no target
     with pytest.raises(ValueError):
         _spec(trials=1)
 
@@ -98,28 +101,62 @@ def test_resolve_l_rules():
         _spec(l_rule=20).resolve_l(16)
 
 
+def _targets(**kw):
+    return [row.target for row in mc_estimate(_spec(trials=2, **kw)).rows]
+
+
 def test_target_value_balanced_b_vanishes():
-    assert target_value(_spec(), 8, 8) == 0.0
+    for rule in ("full", "half", 3):
+        assert _targets(l_rule=rule) == [0.0, 0.0]
 
 
 def test_target_value_tracks_traces():
-    b_pos = DiagPatternFamily((1.0, 0.0), (0.5, 0.5))
-    spec = _spec(word=parse_word("AB"), b_families=(b_pos,))
     # eta_n(A) * tr(B) = (7/8) * (1/2).
-    got = target_value(spec, 8, 8)
-    assert abs(got - 0.875 * 0.5) <= 1e-12
+    for got in _targets(word=parse_word("AB"), b_families=(B_POS,)):
+        assert abs(got - 0.875 * 0.5) <= 1e-12
 
 
-def test_leading_trace_flag():
-    b_pos = DiagPatternFamily((1.0, 0.0), (0.5, 0.5))
-    with_lead = _spec(word=parse_word("BAB"), b_families=(b_pos,))
-    without = _spec(
-        word=parse_word("BAB"), b_families=(b_pos,), include_leading_trace=False
-    )
-    v1 = target_value(with_lead, 8, 8)
-    v2 = target_value(without, 8, 8)
-    assert abs(v1 - 0.875 * 0.25) <= 1e-12  # both b-traces
-    assert abs(v2 - 0.875 * 0.5) <= 1e-12   # leading trace dropped
+def test_target_values_are_pinned():
+    # Tr(A^2) tr(B)^2 = (21/64) (1/4) over the full trace, and the top
+    # entry of A^2 times tr(B)^2 over the first coordinate.
+    word = parse_word("ABAB")
+    assert _targets(word=word, b_families=(B_POS,)) == [21 / 256, 21 / 256]
+    assert _targets(word=word, b_families=(B_POS,), l_rule=1) == [1 / 16, 1 / 16]
+
+
+def test_leading_b_targets():
+    # BAB: the full trace wraps the trail onto the lead, Tr(A) tr(B^2);
+    # a fixed corner factors them, Tr(A) tr(B) tr(B).
+    spec = dict(word=parse_word("BAB"), b_families=(B_POS,))
+    for got in _targets(**spec):
+        assert abs(got - 0.875 * 0.5) <= 1e-12
+    for got in _targets(l_rule=3, **spec):
+        assert abs(got - 0.875 * 0.25) <= 1e-12
+
+
+@pytest.mark.parametrize("word,cyclic,monotone", [
+    ("BAB", 0.875 * 2.5, 0.875 * 1.5**2),
+    ("BABAB", 0.328125 * 1.5 * 2.5, 0.328125 * 1.5**3),
+])
+def test_leading_b_words_sample_both_functionals(word, cyclic, monotone):
+    rows = {}
+    for rule, want in (("full", cyclic), (3, monotone)):
+        rep = mc_estimate(_spec(word=parse_word(word), b_families=(B_12,),
+                                n_list=(16, 64), trials=100, l_rule=rule))
+        row = rows[rule] = max(rep.rows, key=lambda r: r.n)
+        assert abs(row.target - want) <= 1e-12
+        assert row.abs_err <= 3.0 * row.stderr
+    spread = max(row.stderr for row in rows.values())
+    assert abs(cyclic - monotone) > 10.0 * spread
+
+
+@pytest.mark.parametrize("word", ["ABBA", "BBAB", "BABA"])
+def test_words_of_the_a_ideal_sample_their_targets(word):
+    for rule in (1, 3, "full"):
+        rep = mc_estimate(_spec(word=parse_word(word), b_families=(B_12,),
+                                n_list=(64,), trials=100, l_rule=rule))
+        for row in rep.rows:
+            assert row.abs_err <= 3.0 * row.stderr, (rule, row.mean, row.target)
 
 
 def test_word_value_identity_unitary():
@@ -256,7 +293,7 @@ def test_mc_first_moment_is_exact():
     # is pure sampling noise at every dimension.
     spec = _spec(
         word=parse_word("AB"),
-        b_families=(DiagPatternFamily((1.0, 0.0), (0.5, 0.5)),),
+        b_families=(B_POS,),
         n_list=(6, 12),
         trials=300,
     )

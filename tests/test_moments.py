@@ -69,6 +69,14 @@ def test_table_missing_entry_raises():
         table.value((1,) * 5)
 
 
+def test_orthonormal_table_is_bounded_before_it_is_built():
+    assert BMomentTable.orthonormal(0, max_len=10**12).values == {}
+    assert len(BMomentTable.orthonormal(12).values) == 22_620
+    for q, max_len in ((100, 4), (30, 4), (3, 12), (2, 17), (1, 10**12)):
+        with pytest.raises(ValueError, match="entries"):
+            BMomentTable.orthonormal(q, max_len=max_len)
+
+
 def test_table_rejects_inconsistent_values():
     # Rotating a stored word must not change its value.
     with pytest.raises(ValueError):
