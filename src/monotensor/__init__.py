@@ -87,7 +87,7 @@ from .haar import (
     mc_estimate,
     parse_word,
     rate_check,
-    sample_haar_unitary,
+    sample_haar_rows,
 )
 from .reports import canonical_json, emit_report, render_csv, write_text
 
@@ -154,7 +154,7 @@ __all__ = [
     "random_model_spec",
     "rate_check",
     "render_csv",
-    "sample_haar_unitary",
+    "sample_haar_rows",
     "sign_pattern_check",
     "split_runs",
     "stream",

@@ -7,18 +7,20 @@ the trace over a fixed number of top coordinates on its monotone
 moment, both taken on the families' moment data at that dimension.
 ``mc_estimate`` runs the seeded experiment over a dimension sweep and
 ``rate_check`` fits the decay slope with a trial-resampling confidence
-band.
+band.  The a-blocks have finite rank, so a trial draws only the top
+rows of U that the word reads, never an n x n matrix.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, repeat
+from itertools import accumulate, groupby, repeat
 
 import numpy as np
 
 from . import linalg
+from .model import ENTRY_BYTES, _check_memory
 from .moments import AFamilyMoments, BMomentTable, MomentData, cyclic_moment, monotone_moment
 from .sampling import complex_gaussians, stream
 from .words import Letter, NCPolynomial, split_runs
@@ -27,16 +29,18 @@ from .words import Letter, NCPolynomial, split_runs
 MOMENT_BOUND = 100.0
 
 
-def sample_haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary: QR of a complex Gaussian matrix.
+def sample_haar_rows(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Top ``m`` rows of an n x n Haar unitary, without forming it.
 
-    The phase convention in :func:`monotensor.linalg.qr_unitary`
-    (positive real diagonal of R) is what makes the QR output
-    Haar-distributed rather than merely unitary.
+    The thin QR of an n x m complex Gaussian, phase-fixed as in
+    :func:`monotensor.linalg.qr_unitary` (positive real diagonal of R),
+    gives the first m columns of a Haar unitary; their conjugate
+    transpose is the top of its (also Haar) adjoint (Mezzadri, Notices
+    AMS 2007).  ``m = n`` gives a whole Haar unitary.
     """
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
-    return linalg.qr_unitary(complex_gaussians(rng, (n, n)))
+    if not 1 <= m <= n:
+        raise ValueError(f"need 1 <= m <= n for the rows of U, got m={m}, n={n}")
+    return linalg.qr_unitary(complex_gaussians(rng, (n, m))).conj().T
 
 
 @dataclass(frozen=True)
@@ -56,10 +60,10 @@ class CornerFamily:
 class DiagPatternFamily:
     """Diagonal matrices with prescribed values in fixed proportions.
 
-    ``realize(n)`` repeats each value round(weight * n) times using
-    largest-remainder rounding, so normalized traces converge (and for
-    exact proportions like a balanced +-1 pattern are exact at every
-    even n).
+    ``realize(n)`` is the length-n diagonal: each value repeated
+    round(weight * n) times using largest-remainder rounding, so
+    normalized traces converge (and for exact proportions like a
+    balanced +-1 pattern are exact at every even n).
     """
 
     values: tuple
@@ -81,10 +85,7 @@ class DiagPatternFamily:
         )
         for i in order[:remainder]:
             counts[i] += 1
-        diag = []
-        for v, c in zip(self.values, counts):
-            diag.extend([float(v)] * c)
-        return np.diag(diag).astype(np.complex128)
+        return np.repeat(np.array(self.values, dtype=float), counts)
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,10 @@ class HaarWordSpec:
     ``word`` is a tuple of ("A", i) / ("B", j) pairs with at least one A.
     ``l_rule`` "full" targets the cyclic functional of the word, "half"
     or a fixed int the monotone one.  "half" is rejected on a word that
-    starts with a B: its limit is neither functional.
+    starts with a B: its limit is neither functional, and so is a fixed
+    ``l`` with ``2 * l`` reaching the smallest n, where the sum is no
+    longer a small corner.  The arrays a trial holds must fit in
+    :data:`monotensor.model.MEMORY_CAP` at every n.
     """
 
     word: tuple
@@ -120,6 +124,27 @@ class HaarWordSpec:
             raise ValueError("need at least two trials for a standard error")
         if not self.n_list:
             raise ValueError("need at least one dimension")
+        if (word[0][0] == "B" and self.l_rule not in ("full", "half")
+                and 2 * int(self.l_rule) >= min(self.n_list)):
+            raise ValueError(
+                f"l={self.l_rule} on a word that starts with a B needs "
+                f"2*l < {min(self.n_list)}, the smallest n: nearer n the sum "
+                "is not a fixed corner"
+            )
+        for n in self.n_list:
+            if self.rank > n:
+                raise ValueError(f"block of rank {self.rank} does not fit in n={n}")
+            m = self.rows_needed(n)
+            # The uniforms and Gaussians, Q and LAPACK's copy of it, the rows,
+            # their adjoint and their scaled copy peak at about six complex
+            # n x m arrays (4.6 measured by tracemalloc, which misses
+            # LAPACK's); add one real diagonal per b-family and per b-run,
+            # and the m x m blocks.
+            _check_memory(
+                ENTRY_BYTES * (6 * n * m + (len(self.b_families) + len(word)) * n // 2
+                               + (len(self.a_families) + len(word)) * m * m),
+                f"a Haar trial at n={n}",
+            )
 
     def resolve_l(self, n: int) -> int:
         if self.l_rule == "full":
@@ -130,6 +155,24 @@ class HaarWordSpec:
         if not 1 <= l <= n:
             raise ValueError(f"l={l} out of range for n={n}")
         return l
+
+    @property
+    def rank(self) -> int:
+        """Size ``r`` of the largest a-block: every A lives in the top r coordinates."""
+        return max(len(fam.eigenvalues) for fam in self.a_families)
+
+    def rows_needed(self, n: int) -> int:
+        """How many top rows of U a trial at dimension n draws.
+
+        A word that starts with an A, or the full trace of any word after
+        rotating it to start at an A, only reads the top ``r`` coordinates:
+        ``r`` rows.  A fixed corner of a word that starts with a B also
+        reads the top ``l``: ``max(l, r)`` rows.
+        """
+        l = self.resolve_l(n)
+        if self.word[0][0] == "A" or l == n:
+            return self.rank
+        return max(l, self.rank)
 
 
 def parse_word(text: str) -> tuple:
@@ -143,14 +186,15 @@ def parse_word(text: str) -> tuple:
     )
 
 
-def realize_families(spec: HaarWordSpec, n: int):
-    a_mats = [fam.realize(n) for fam in spec.a_families]
-    b_mats = [fam.realize(n) for fam in spec.b_families]
-    _check_moment_bounds(spec, n, a_mats, b_mats)
-    return a_mats, b_mats
+def realize_families(spec: HaarWordSpec, n: int, m: int):
+    """The a-blocks padded to m x m and the length-n b-diagonals."""
+    a_mats = [fam.realize(m) for fam in spec.a_families]
+    b_diags = [fam.realize(n) for fam in spec.b_families]
+    _check_moment_bounds(spec, n, a_mats, b_diags)
+    return a_mats, b_diags
 
 
-def _check_moment_bounds(spec: HaarWordSpec, n: int, a_mats, b_mats) -> None:
+def _check_moment_bounds(spec: HaarWordSpec, n: int, a_mats, b_diags) -> None:
     c = MOMENT_BOUND
     a_word = [idx for tag, idx in spec.word if tag == "A"]
     if a_word:
@@ -161,26 +205,43 @@ def _check_moment_bounds(spec: HaarWordSpec, n: int, a_mats, b_mats) -> None:
             raise ValueError(
                 f"A-word trace {abs(np.trace(prod)):.3g} exceeds the bound {c}"
             )
-    for j, m in enumerate(b_mats, start=1):
-        for power in accumulate(repeat(m, len(spec.word)), np.matmul):
-            if abs(np.trace(power)) / n > c:
+    for j, d in enumerate(b_diags, start=1):
+        for power in accumulate(repeat(d, len(spec.word)), np.multiply):
+            if abs(power.sum()) / n > c:
                 raise ValueError(f"normalized trace of a b{j}-power exceeds {c}")
 
 
-def word_value(spec: HaarWordSpec, n: int, l: int, u: np.ndarray,
-               a_mats=None, b_mats=None) -> complex:
-    """Truncated diagonal sum of the realized word at one unitary."""
-    if a_mats is None or b_mats is None:
-        a_mats, b_mats = realize_families(spec, n)
-    uh = u.conj().T
-    factors = (
-        a_mats[idx - 1] if tag == "A" else u @ b_mats[idx - 1] @ uh
-        for tag, idx in spec.word
-    )
-    return linalg.partial_trace(reduce(np.matmul, factors), l)
+def word_value(spec: HaarWordSpec, n: int, l: int, rows: np.ndarray,
+               a_mats=None, b_diags=None) -> complex:
+    """Truncated diagonal sum of the realized word at one sample of U.
+
+    ``rows`` holds the top ``m`` rows of U, ``m`` from
+    :meth:`HaarWordSpec.rows_needed`.  A full trace (``l = n``) is
+    rotated to start at an A.  Each maximal b-run, conjugated by U, is
+    one diagonal ``d`` (the product of its b's); its top m x m corner is
+    ``(rows * d) @ rows^H``.  A run is never split into its letters,
+    because ``rows^H rows`` is not the identity.  The value is the trace
+    over the first ``min(l, m)`` coordinates of the m x m product.
+    """
+    m = rows.shape[0]
+    if a_mats is None or b_diags is None:
+        a_mats, b_diags = realize_families(spec, n, m)
+    word = spec.word
+    if l == n:
+        first_a = next(i for i, (tag, _) in enumerate(word) if tag == "A")
+        word = word[first_a:] + word[:first_a]
+    rows_h = rows.conj().T
+    factors = []
+    for is_a, letters in groupby(word, key=lambda letter: letter[0] == "A"):
+        if is_a:
+            factors.extend(a_mats[idx - 1] for _, idx in letters)
+        else:
+            d = reduce(np.multiply, (b_diags[idx - 1] for _, idx in letters))
+            factors.append((rows * d) @ rows_h)
+    return linalg.partial_trace(reduce(np.matmul, factors), min(l, m))
 
 
-def _target(spec: HaarWordSpec, n: int, l: int, a_mats, b_mats) -> complex:
+def _target(spec: HaarWordSpec, n: int, l: int, a_mats, b_diags) -> complex:
     """The cyclic moment of the word for ``l_rule`` "full", else its monotone one.
 
     The a-data are the corner blocks cut to their top ``min(l, r)``
@@ -194,11 +255,11 @@ def _target(spec: HaarWordSpec, n: int, l: int, a_mats, b_mats) -> complex:
     tau = {}
     for run in {*runs, runs[-1] + runs[0]} - {()}:
         indices = tuple(-x for x in run)
-        product = reduce(np.matmul, (b_mats[j - 1] for j in indices))
-        tau[indices] = complex(np.trace(product)) / n
-    m = min(l, max(len(fam.eigenvalues) for fam in spec.a_families))
+        product = reduce(np.multiply, (b_diags[j - 1] for j in indices))
+        tau[indices] = complex(product.sum()) / n
+    m = min(l, spec.rank)
     data = MomentData(AFamilyMoments([mat[:m, :m] for mat in a_mats]),
-                      BMomentTable(tau, q=len(b_mats)))
+                      BMomentTable(tau, q=len(b_diags)))
     functional = cyclic_moment if spec.l_rule == "full" else monotone_moment
     return functional(word, data)
 
@@ -249,18 +310,20 @@ class McReport:
 
 
 def mc_estimate(spec: HaarWordSpec) -> McReport:
-    """Run the seeded sweep; per-trial unitaries come from streams keyed
-    by (seed, n, trial), so the experiment is reproducible bit for bit."""
+    """Run the seeded sweep; each trial's rows of U come from a stream
+    keyed by (seed, n, trial), so the experiment is reproducible bit for
+    bit.  No array of size n x n is formed."""
     rows = []
     for n in spec.n_list:
         n = int(n)
         l = spec.resolve_l(n)
-        a_mats, b_mats = realize_families(spec, n)
-        target = _target(spec, n, l, a_mats, b_mats)
+        m = spec.rows_needed(n)
+        a_mats, b_diags = realize_families(spec, n, m)
+        target = _target(spec, n, l, a_mats, b_diags)
         values = np.empty(spec.trials, dtype=np.complex128)
         for t in range(spec.trials):
-            u = sample_haar_unitary(n, stream(spec.seed, n, t))
-            values[t] = word_value(spec, n, l, u, a_mats, b_mats)
+            u_rows = sample_haar_rows(n, m, stream(spec.seed, n, t))
+            values[t] = word_value(spec, n, l, u_rows, a_mats, b_diags)
         rows.append(McRow(n=n, l=l, values=values, target=target))
     return McReport(spec=spec, rows=rows)
 

@@ -77,13 +77,17 @@ def hermitian_eigenvalues(m) -> np.ndarray:
 
 
 def qr_unitary(m) -> np.ndarray:
-    """Unitary Q of the QR factorization, phase-fixed so diag(R) > 0.
+    """Q of the (thin) QR factorization, phase-fixed so diag(R) > 0.
 
-    The phase convention makes the factorization unique for invertible
-    input, which keeps downstream Haar sampling distribution-correct and
-    bit-reproducible.  Rank-deficient input is rejected.
+    A square input gives a unitary Q, a tall n x k one the n x k Q with
+    orthonormal columns.  The phase convention makes the factorization
+    unique for full-rank input, which keeps downstream Haar sampling
+    distribution-correct and bit-reproducible.  Rank-deficient input is
+    rejected.
     """
-    m = _require_square(m, "qr_unitary")
+    m = as_matrix(m)
+    if m.shape[0] < m.shape[1]:
+        raise ValueError(f"qr_unitary requires a square or tall matrix, got shape {m.shape}")
     q, r = np.linalg.qr(m)
     d = np.diagonal(r).copy()
     scale = 1.0 + float(np.abs(m).max()) if m.size else 1.0

@@ -188,14 +188,45 @@ def test_haar_rejects_bad_word(runner):
     assert result.exit_code == 2
 
 
-def test_haar_half_rejects_a_leading_b_before_any_trial(runner, monkeypatch):
-    def no_trial(*_args, **_kwargs):
-        raise AssertionError("a trial ran")
+def _no_trial(*_args, **_kwargs):
+    raise AssertionError("a trial ran")
 
-    monkeypatch.setattr(haar_module, "sample_haar_unitary", no_trial)
+
+def test_haar_half_rejects_a_leading_b_before_any_trial(runner, monkeypatch):
+    monkeypatch.setattr(haar_module, "sample_haar_rows", _no_trial)
     result = runner.invoke(main, ["haar", "--word", "BAB", "--l", "half", "--n", "8"])
     assert result.exit_code == 2, result.output
     assert "half" in result.output
+
+
+def test_haar_fixed_l_near_n_on_a_leading_b_exits_2_before_any_trial(runner, monkeypatch):
+    # At n = 32 a sum over l = 32 entries is the full trace, whose limit
+    # is the cyclic moment, not the monotone target.
+    monkeypatch.setattr(haar_module, "sample_haar_rows", _no_trial)
+    result = runner.invoke(main, ["haar", "--word", "BAB", "--l", "32", "--n", "32,64"])
+    assert result.exit_code == 2, result.output
+    assert "2*l < 32" in result.output
+    # Below half the smallest n the corner stays a corner.
+    spec = haar_module.HaarWordSpec(
+        word=haar_module.parse_word("BAB"),
+        a_families=(haar_module.CornerFamily((0.5,)),),
+        b_families=(haar_module.DiagPatternFamily((1.0,), (1.0,)),),
+        n_list=(32, 64), l_rule=15,
+    )
+    assert spec.rows_needed(32) == 15
+
+
+@pytest.mark.parametrize("args", [
+    ["--n", "1000000000"],
+    ["--word", "BAB", "--l", "40000", "--n", "100000"],
+], ids=["huge-n", "leading-b-wide-corner"])
+def test_haar_above_the_memory_cap_exits_2_before_any_trial(runner, monkeypatch, args):
+    monkeypatch.setattr(haar_module, "sample_haar_rows", _no_trial)
+    # Realizing a b-family at n = 10^9 alone would take 8 GB.
+    monkeypatch.setattr(haar_module, "realize_families", _no_trial)
+    result = runner.invoke(main, ["haar", "--trials", "2", *args])
+    assert result.exit_code == 2, result.output
+    assert "memory cap" in result.output
 
 
 def test_haar_family_file(runner, tmp_path):

@@ -1,8 +1,12 @@
 """Haar sampling, family realizations, and the Monte Carlo sweep."""
+import time
+import tracemalloc
+from functools import reduce
+
 import numpy as np
 import pytest
 
-from monotensor import haar
+from monotensor import haar, linalg
 from monotensor.haar import (
     CornerFamily,
     DiagPatternFamily,
@@ -12,7 +16,7 @@ from monotensor.haar import (
     mc_estimate,
     parse_word,
     rate_check,
-    sample_haar_unitary,
+    sample_haar_rows,
     word_value,
 )
 from monotensor.sampling import stream
@@ -38,14 +42,20 @@ def _spec(**kw):
 
 
 def test_sample_haar_unitary_is_unitary():
-    u = sample_haar_unitary(12, stream(3, 12, 0))
+    u = sample_haar_rows(12, 12, stream(3, 12, 0))
     assert np.max(np.abs(u.conj().T @ u - np.eye(12))) <= 1e-12
+    # Fewer rows than n: still orthonormal rows.
+    v = sample_haar_rows(12, 3, stream(3, 12, 0))
+    assert v.shape == (3, 12)
+    assert np.max(np.abs(v @ v.conj().T - np.eye(3))) <= 1e-12
+    with pytest.raises(ValueError):
+        sample_haar_rows(12, 13, stream(3, 12, 0))
 
 
 def test_sample_haar_unitary_streams():
-    u1 = sample_haar_unitary(6, stream(3, 6, 0))
-    u2 = sample_haar_unitary(6, stream(3, 6, 0))
-    u3 = sample_haar_unitary(6, stream(3, 6, 1))
+    u1 = sample_haar_rows(6, 6, stream(3, 6, 0))
+    u2 = sample_haar_rows(6, 6, stream(3, 6, 0))
+    u3 = sample_haar_rows(6, 6, stream(3, 6, 1))
     assert np.array_equal(u1, u2)
     assert not np.array_equal(u1, u3)
 
@@ -59,13 +69,12 @@ def test_corner_family_padding():
 
 
 def test_diag_pattern_counts():
-    m = B_BAL.realize(6)
-    diag = np.diag(m).real
+    diag = B_BAL.realize(6)
+    assert diag.shape == (6,)
     assert np.sum(diag == 1.0) == 3 and np.sum(diag == -1.0) == 3
-    assert np.trace(m) / 6 == 0.0
+    assert diag.sum() / 6 == 0.0
     # Odd n still fills every slot: three +1 against two -1.
-    m5 = B_BAL.realize(5)
-    assert np.trace(m5) / 5 == 0.2
+    assert B_BAL.realize(5).sum() / 5 == 0.2
     with pytest.raises(ValueError):
         DiagPatternFamily((1.0,), (0.7,))
 
@@ -165,9 +174,44 @@ def test_word_value_identity_unitary():
     n = 8
     a = A_FAM.realize(n)
     bm = B_BAL.realize(n)
-    direct = np.trace(a @ bm)
-    got = word_value(spec, n, n, np.eye(n, dtype=np.complex128), [a], [bm])
+    direct = np.trace(a @ np.diag(bm))
+    rows = np.eye(n, dtype=np.complex128)[:3]
+    got = word_value(spec, n, n, rows, [A_FAM.realize(3)], [bm])
     assert abs(got - direct) <= 1e-12
+
+
+def _dense_word_value(spec, n, l, u):
+    """The oracle: the whole n x n word at a full unitary u."""
+    a_mats = [fam.realize(n) for fam in spec.a_families]
+    b_mats = [np.diag(fam.realize(n)) for fam in spec.b_families]
+    uh = u.conj().T
+    factors = (
+        a_mats[idx - 1] if tag == "A" else u @ b_mats[idx - 1] @ uh
+        for tag, idx in spec.word
+    )
+    return linalg.partial_trace(reduce(np.matmul, factors), l)
+
+
+A_TWO = CornerFamily((0.9, -0.3))
+B_THREE = DiagPatternFamily((1.0, -0.5, 3.0), (0.25, 0.5, 0.25))
+
+
+@pytest.mark.parametrize("word", ["ABAB", "BAB", "BABA", "ABBA", "BBAB",
+                                  "A1B2B1A2B1", "B2A2A1B1B2", "ABA"])
+def test_word_value_matches_the_dense_oracle(word):
+    for n in (12, 16):
+        for rule in ("full", "half", 1, 2, 3, 5):
+            if rule == "half" and word[0] == "B":
+                continue
+            spec = _spec(word=parse_word(word), a_families=(A_FAM, A_TWO),
+                         b_families=(B_12, B_THREE), n_list=(n,), l_rule=rule)
+            l, m = spec.resolve_l(n), spec.rows_needed(n)
+            assert m == (max(l, 3) if word[0] == "B" and rule != "full" else 3)
+            for t in range(3):
+                u = sample_haar_rows(n, n, stream(1, n, t))
+                got = word_value(spec, n, l, u[:m])
+                want = _dense_word_value(spec, n, l, u)
+                assert abs(got - want) <= 1e-12, (n, rule, t)
 
 
 def test_mc_estimate_reproducible():
@@ -178,12 +222,12 @@ def test_mc_estimate_reproducible():
         assert a_row.target == b_row.target
 
 
-def _identity_unitary(n, rng):
-    return np.eye(n, dtype=np.complex128)
+def _identity_unitary(n, m, rng):
+    return np.eye(n, dtype=np.complex128)[:m]
 
 
 def test_mc_estimate_force_identity_collapses_spread(monkeypatch):
-    monkeypatch.setattr(haar, "sample_haar_unitary", _identity_unitary)
+    monkeypatch.setattr(haar, "sample_haar_rows", _identity_unitary)
     rep = mc_estimate(_spec())
     for row in rep.rows:
         assert row.stderr == 0.0
@@ -253,29 +297,30 @@ def test_mc_decay_small_scale():
 
 
 def test_haar_dimension_one_is_pure_phase():
-    u = sample_haar_unitary(1, stream(7, 1, 0))
+    u = sample_haar_rows(1, 1, stream(7, 1, 0))
     assert abs(abs(u[0, 0]) - 1.0) <= 1e-12
 
 
 def test_haar_first_moments():
     # E[U] = 0 and E[U_ab conj(U_cd)] = delta_ac delta_bd / n; with 10^4
-    # samples both hold entrywise to five standard errors.
+    # samples both hold entrywise to five standard errors, for the whole
+    # unitary and for its top two rows alone.
     n, count = 4, 10_000
-    rng = stream(11, n)
-    us = np.empty((count, n, n), dtype=np.complex128)
-    for t in range(count):
-        us[t] = sample_haar_unitary(n, rng)
+    for m in (n, 2):
+        rng = stream(11, n, m)
+        us = np.empty((count, m, n), dtype=np.complex128)
+        for t in range(count):
+            us[t] = sample_haar_rows(n, m, rng)
 
-    mean = us.mean(axis=0)
-    serr = us.std(axis=0, ddof=1) / np.sqrt(count)
-    assert np.all(np.abs(mean) <= 5.0 * serr)
+        mean = us.mean(axis=0)
+        serr = us.std(axis=0, ddof=1) / np.sqrt(count)
+        assert np.all(np.abs(mean) <= 5.0 * serr)
 
-    prods = us[:, :, :, None, None] * us.conj()[:, None, None, :, :]
-    second = prods.mean(axis=0)
-    serr2 = prods.std(axis=0, ddof=1) / np.sqrt(count)
-    eye = np.eye(n)
-    target = np.einsum("ac,bd->abcd", eye, eye) / n
-    assert np.all(np.abs(second - target) <= 5.0 * serr2)
+        prods = us[:, :, :, None, None] * us.conj()[:, None, None, :, :]
+        second = prods.mean(axis=0)
+        serr2 = prods.std(axis=0, ddof=1) / np.sqrt(count)
+        target = np.einsum("ac,bd->abcd", np.eye(m), np.eye(n)) / n
+        assert np.all(np.abs(second - target) <= 5.0 * serr2)
 
 
 def test_word_value_identity_b_reduces_to_a_trace():
@@ -283,7 +328,7 @@ def test_word_value_identity_b_reduces_to_a_trace():
         word=parse_word("AB"),
         b_families=(DiagPatternFamily((1.0,), (1.0,)),),
     )
-    u = sample_haar_unitary(8, stream(5, 8, 0))
+    u = sample_haar_rows(8, 8, stream(5, 8, 0))
     # Conjugating the identity does nothing, so the value is Tr(A).
     assert abs(word_value(spec, 8, 8, u) - 0.875) <= 1e-12
 
@@ -306,9 +351,30 @@ def test_rate_check_identity_unitary_negative_control(monkeypatch):
     # Forcing U = I freezes the word value at a nonzero constant, so the
     # deviation from the factorized target does not decay; the slope
     # sits near zero and the rate window check fails as it should.
-    monkeypatch.setattr(haar, "sample_haar_unitary", _identity_unitary)
+    monkeypatch.setattr(haar, "sample_haar_rows", _identity_unitary)
     spec = _spec(n_list=(8, 16, 32), trials=5)
     fit = rate_check(mc_estimate(spec), resamples=20)
     assert not fit.degenerate
     assert abs(fit.slope) <= 0.05
     assert not fit.slope_in(-1.6, -0.7)
+
+
+def test_mc_estimate_allocates_no_n_by_n_array():
+    # An n x n complex matrix at n = 8192 would be 1 GiB.
+    spec = _spec(n_list=(8192,), trials=4)
+    tracemalloc.start()
+    try:
+        mc_estimate(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_large_n_sweep_keeps_the_rate():
+    t0 = time.monotonic()
+    rep = mc_estimate(_spec(n_list=(256, 1024, 4096, 8192), trials=400, seed=7))
+    fit = rate_check(rep)
+    assert rep.bound_failures(rep.calibrate_c_rate()) == []
+    assert fit.slope_in(-1.6, -0.7), fit.slope
+    assert time.monotonic() - t0 < 10.0

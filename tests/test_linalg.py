@@ -81,6 +81,24 @@ def test_qr_unitary_rejects_singular_input():
         linalg.qr_unitary(m)
 
 
+def test_qr_unitary_thin_keeps_the_phase_fix_and_the_rank_check():
+    rng = np.random.default_rng(5)
+    m = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
+    q = linalg.qr_unitary(m)
+    assert q.shape == (7, 3)
+    assert np.max(np.abs(q.conj().T @ q - np.eye(3))) <= 1e-12
+    r = q.conj().T @ m
+    assert np.all(np.diag(r).real > 0)
+    assert np.max(np.abs(np.tril(r, -1))) <= 1e-12
+    # The thin Q is the first columns of the square one.
+    square = np.hstack([m, rng.normal(size=(7, 4))])
+    assert np.max(np.abs(linalg.qr_unitary(square)[:, :3] - q)) <= 1e-12
+    with pytest.raises(np.linalg.LinAlgError):
+        linalg.qr_unitary(np.zeros((7, 3)))
+    with pytest.raises(ValueError):
+        linalg.qr_unitary(m.T)
+
+
 def test_embed_top_corner():
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
     out = linalg.embed_top_corner(m, 4)
