@@ -7,8 +7,7 @@ The package has three layers:
   survive either functional and the words both annihilate
   (``words``, ``moments``);
 - a finite-dimensional tensor model whose diagonal states reproduce both
-  functionals exactly, taken on its reachable blocks, with the dense
-  Kronecker form as its oracle (``model``);
+  functionals exactly, taken on its reachable blocks (``model``);
 - randomized conjugation experiments that approach the same targets at
   a 1/n rate (``haar``), plus shared linear algebra, sampling, and
   report formatting helpers.
@@ -17,7 +16,6 @@ from .linalg import (
     embed_top_corner,
     hermitian_eigenvalues,
     is_hermitian,
-    kron,
     matrix_from_json,
     matrix_to_json,
     partial_trace,
@@ -63,9 +61,7 @@ from .model import (
     VerifyReport,
     build_example_pair,
     build_model,
-    corner_unit,
     evaluate_state,
-    flip_factor,
     limit_sweep,
     model_spec_from_json_obj,
     verify_cyclic,
@@ -124,16 +120,13 @@ __all__ = [
     "canonical_json",
     "center_expand",
     "complex_gaussians",
-    "corner_unit",
     "cyclic_moment",
     "embed_top_corner",
     "emit_report",
     "evaluate_state",
-    "flip_factor",
     "gram_schmidt",
     "hermitian_eigenvalues",
     "is_hermitian",
-    "kron",
     "limit_sweep",
     "matrix_from_json",
     "matrix_to_json",

@@ -6,6 +6,7 @@ assertion fails, 2 on unparseable input (click uses 2 for usage errors).
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
@@ -305,6 +306,8 @@ def haar(word, n_text, l_rule, trials, seed, family_path, c_rate, slope_window,
     if len(window) != 2:
         raise _fail(f"--slope-window takes two numbers lo,hi, got {slope_window!r}")
     lo, hi = window
+    if c_rate is not None and not math.isfinite(c_rate):
+        raise _fail(f"--c-rate must be a finite number, got {c_rate}")
     if l_rule not in ("full", "half"):
         try:
             l_rule = int(l_rule)

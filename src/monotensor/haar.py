@@ -97,8 +97,9 @@ class HaarWordSpec:
     or a fixed int the monotone one.  "half" is rejected on a word that
     starts with a B: its limit is neither functional, and so is a fixed
     ``l`` with ``2 * l`` reaching the smallest n, where the sum is no
-    longer a small corner.  The arrays a trial holds must fit in
-    :data:`monotensor.model.MEMORY_CAP` at every n.
+    longer a small corner.  The arrays a trial holds, with the values
+    every row keeps, must fit in :data:`monotensor.model.MEMORY_CAP` at
+    every n.
     """
 
     word: tuple
@@ -139,11 +140,13 @@ class HaarWordSpec:
             # their adjoint and their scaled copy peak at about six complex
             # n x m arrays (4.6 measured by tracemalloc, which misses
             # LAPACK's); add one real diagonal per b-family and per b-run,
-            # and the m x m blocks.
+            # and the m x m blocks.  Every row keeps its trial values, and
+            # rate_check's resamples copy one row (about two entries a trial).
             _check_memory(
                 ENTRY_BYTES * (6 * n * m + (len(self.b_families) + len(word)) * n // 2
-                               + (len(self.a_families) + len(word)) * m * m),
-                f"a Haar trial at n={n}",
+                               + (len(self.a_families) + len(word)) * m * m
+                               + (len(self.n_list) + 2) * self.trials),
+                f"a Haar sweep of {self.trials} trials at n={n}",
             )
 
     def resolve_l(self, n: int) -> int:

@@ -1,8 +1,7 @@
-"""Dense complex matrix kernel shared by the model builders and samplers.
+"""Dense complex matrix kernel shared by the model and the samplers.
 
 Everything operates on square (or rectangular, where noted) complex128
-ndarrays.  Kronecker products flatten row-major with the left factor as
-the outer block index, i.e. ``kron(a, b)[i*rb + k, j*cb + l] = a[i, j] * b[k, l]``.
+ndarrays.
 """
 from __future__ import annotations
 
@@ -28,11 +27,6 @@ def _require_square(m: np.ndarray, what: str) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} requires a square matrix, got shape {m.shape}")
     return m
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with the left factor as the outer block."""
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def trace(m) -> complex:

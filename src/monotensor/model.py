@@ -16,8 +16,7 @@ one block ``E_{L,R} (x) M``: L and R are the labels its lead and trail
 b-runs send label 0 to, and M is the product of its a-matrices.  The
 model keeps the reachable labels and, in each, the first ``base``
 positions (the size of the a-matrices); every other row and column of
-every power is zero.  ``build_dense_model`` forms the Kronecker
-matrices; it is the oracle, and it serves the worked example.
+every power is zero.  The tests keep the Kronecker form as its oracle.
 """
 from __future__ import annotations
 
@@ -38,7 +37,7 @@ from .moments import (
 from .words import NCPolynomial, check_expansion, split_runs
 
 #: Most bytes of matrices a model build may plan to hold at once (1 GiB).
-#: Both builders check their estimate against it before they allocate.
+#: Each estimate is checked against it before anything is allocated.
 MEMORY_CAP = 2**30
 
 #: Compressed matrices alive at once while a power is taken: the model
@@ -58,28 +57,6 @@ MAX_Q = 12
 
 #: Most (n, l) cells limit_sweep tabulates.
 SWEEP_CELL_CAP = 2**16
-
-#: 2x2 flip (the off-diagonal permutation); its square is the identity.
-FLIP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-
-
-def flip_factor(q: int, j: int) -> np.ndarray:
-    """The 2^q tensor-space matrix with a flip in slot j (j = 0: identity)."""
-    if not 0 <= j <= q:
-        raise ValueError(f"slot index {j} out of range 0..{q}")
-    if j == 0:
-        return np.eye(2**q, dtype=np.complex128)
-    return linalg.kron(
-        np.eye(2 ** (j - 1)), linalg.kron(FLIP, np.eye(2 ** (q - j)))
-    )
-
-
-def corner_unit(q: int) -> np.ndarray:
-    """Rank-one unit at tensor label 0 (the product of per-slot units)."""
-    out = np.zeros((2**q, 2**q), dtype=np.complex128)
-    out[0, 0] = 1.0
-    return out
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -179,7 +156,7 @@ def _word_block(word, q: int):
     """``(L, a_indices, R)`` of a coded word, or None when its matrix is 0.
 
     ``b_j`` flips bit ``q - j`` of the label (slot 1 is the most
-    significant bit, as in :func:`flip_factor`).  A centered run is its
+    significant bit, the outer Kronecker factor).  A centered run is its
     flip minus its normalized trace: the flip itself, or zero when the
     flips cancel.  A run between two a-letters must fix label 0.
     """
@@ -247,59 +224,6 @@ def state_value(model: TensorModel, m: np.ndarray, l: int) -> complex:
     return linalg.partial_trace(m, kept)
 
 
-@dataclass
-class DenseTensorModel:
-    n: int
-    q: int
-    dim: int
-    a_reps: list
-    b_reps: list
-    poly_matrix: np.ndarray
-
-
-def build_dense_model(spec: ModelSpec) -> DenseTensorModel:
-    """Realize the spec's polynomial as a dim x dim Kronecker matrix.
-
-    The oracle of :func:`build_model`; it also serves the worked example.
-    """
-    dim = spec.dim
-    _check_memory(
-        (len(spec.a_matrices) + spec.q + 3) * dim**2 * ENTRY_BYTES,
-        f"a dense model of dimension {dim}",
-    )
-    corner = corner_unit(spec.q)
-    eye_n = np.eye(spec.n, dtype=np.complex128)
-    a_reps = [
-        linalg.kron(corner, linalg.embed_top_corner(m, spec.n))
-        for m in spec.a_matrices
-    ]
-    b_reps = [
-        linalg.kron(flip_factor(spec.q, j), eye_n) for j in range(1, spec.q + 1)
-    ]
-    acc = np.zeros((dim, dim), dtype=np.complex128)
-    # Every word holds an a-letter (ModelSpec checks), so none is empty.
-    for word, coeff in spec.poly.terms.items():
-        m = _atom_matrix(word[0], a_reps, b_reps, dim)
-        for atom in word[1:]:
-            m = m @ _atom_matrix(atom, a_reps, b_reps, dim)
-        acc = acc + coeff * m
-    return DenseTensorModel(
-        n=spec.n, q=spec.q, dim=dim, a_reps=a_reps, b_reps=b_reps, poly_matrix=acc
-    )
-
-
-def _atom_matrix(atom, a_reps, b_reps, dim: int) -> np.ndarray:
-    """Matrix of a coded atom (see :mod:`monotensor.words`)."""
-    if isinstance(atom, tuple):
-        m = b_reps[atom[0] - 1]
-        for j in atom[1:]:
-            m = m @ b_reps[j - 1]
-        return m - (np.trace(m) / dim) * np.eye(dim, dtype=np.complex128)
-    if atom > 0:
-        return a_reps[atom - 1]
-    return b_reps[-atom - 1]
-
-
 def matrix_power(m: np.ndarray, k: int) -> np.ndarray:
     if isinstance(k, bool) or not hasattr(k, "__index__") \
             or not 1 <= operator.index(k) <= POWER_CAP:
@@ -356,6 +280,8 @@ class VerifyReport:
 
 def _verify(spec: ModelSpec, data: MomentData | None, k_max: int, rtol: float,
             kind: str) -> VerifyReport:
+    if k_max < 1:
+        raise ValueError(f"k_max must be at least 1, got {k_max}")
     check_expansion(spec.poly, k_max)
     if data is None:
         data = spec.moment_data()
@@ -497,8 +423,6 @@ def limit_sweep(spec: ModelSpec, k: int, n_list, l_list=None,
 class ExamplePair:
     x_spec: ModelSpec
     y_spec: ModelSpec
-    x_matrix: np.ndarray
-    y_matrix: np.ndarray
     x_eigenvalues: np.ndarray
     y_eigenvalues: np.ndarray
     x_expected: np.ndarray
@@ -516,34 +440,33 @@ def build_example_pair(eigenvalues=(0.5, 0.25, 0.125)) -> ExamplePair:
     """The commutation/anticommutation pair over a diagonal a.
 
     X = a + b a b has each a-eigenvalue twice; Y = a b + b a has the
-    a-eigenvalues with both signs.  Expected spectra are derived from
-    the input eigenvalues, so variant inputs are checked against the
-    same rule.
+    a-eigenvalues with both signs.  Both reach labels 0 and 1, so each
+    model matrix is the whole 2n x 2n space.  Expected spectra are
+    derived from the input eigenvalues, so variant inputs are checked
+    against the same rule.
     """
     eigs = np.asarray([float(x) for x in eigenvalues])
     if eigs.size < 1:
         raise ValueError("need at least one eigenvalue")
     n = eigs.size
-    diag = np.diag(eigs)
+    # One model matrix at a time, plus the temporaries of the Hermitian
+    # check and of eigvalsh: 3.3 matrices of size 2n by tracemalloc,
+    # which misses LAPACK's workspace.
+    _check_memory(4 * (2 * n) ** 2 * ENTRY_BYTES, f"the example pair of size {2 * n}")
+    diag = linalg.as_matrix(np.diag(eigs))
     x_spec = ModelSpec(
         n=n, q=1, a_matrices=(diag,), poly=NCPolynomial.parse("a1 + b1 a1 b1")
     )
     y_spec = ModelSpec(
         n=n, q=1, a_matrices=(diag,), poly=NCPolynomial.parse("a1 b1 + b1 a1")
     )
-    x_matrix = build_dense_model(x_spec).poly_matrix
-    y_matrix = build_dense_model(y_spec).poly_matrix
-    x_expected = np.sort(np.concatenate([eigs, eigs]))[::-1]
-    y_expected = np.sort(np.concatenate([eigs, -eigs]))[::-1]
     return ExamplePair(
         x_spec=x_spec,
         y_spec=y_spec,
-        x_matrix=x_matrix,
-        y_matrix=y_matrix,
-        x_eigenvalues=linalg.hermitian_eigenvalues(x_matrix),
-        y_eigenvalues=linalg.hermitian_eigenvalues(y_matrix),
-        x_expected=x_expected,
-        y_expected=y_expected,
+        x_eigenvalues=linalg.hermitian_eigenvalues(build_model(x_spec).poly_matrix),
+        y_eigenvalues=linalg.hermitian_eigenvalues(build_model(y_spec).poly_matrix),
+        x_expected=np.sort(np.concatenate([eigs, eigs]))[::-1],
+        y_expected=np.sort(np.concatenate([eigs, -eigs]))[::-1],
     )
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import _reference as ref
+from _reference import build_dense_model, corner_unit, flip_factor
 from monotensor.haar import (
     CornerFamily,
     DiagPatternFamily,
@@ -20,10 +21,7 @@ from monotensor.haar import (
 )
 from monotensor.model import (
     ModelSpec,
-    build_dense_model,
     build_example_pair,
-    corner_unit,
-    flip_factor,
     limit_sweep,
     verify_cyclic,
     verify_monotone,

@@ -51,6 +51,50 @@ def test_example_json_format(runner):
     assert obj["x_eigenvalues"][0] == 0.5
 
 
+# The example's stdout byte for byte: the compressed model must give
+# exactly the spectra of the dense Kronecker matrices.
+EXAMPLE_GOLDEN = {
+    ("default", "csv"): (
+        "matrix,index,eigenvalue,expected\n"
+        "x,0,0.5,0.5\nx,1,0.5,0.5\nx,2,0.25,0.25\nx,3,0.25,0.25\n"
+        "x,4,0.125,0.125\nx,5,0.125,0.125\n"
+        "y,0,0.5,0.5\ny,1,0.25,0.25\ny,2,0.125,0.125\n"
+        "y,3,-0.125,-0.125\ny,4,-0.25,-0.25\ny,5,-0.5,-0.5\n"
+    ),
+    ("default", "json"): (
+        '{"ok":true,"x_eigenvalues":[0.5,0.5,0.25,0.25,0.125,0.125],'
+        '"x_expected":[0.5,0.5,0.25,0.25,0.125,0.125],'
+        '"y_eigenvalues":[0.5,0.25,0.125,-0.125,-0.25,-0.5],'
+        '"y_expected":[0.5,0.25,0.125,-0.125,-0.25,-0.5]}\n'
+    ),
+    ("-0.3,2.5,0,7", "csv"): (
+        "matrix,index,eigenvalue,expected\n"
+        "x,0,7,7\nx,1,7,7\nx,2,2.5,2.5\nx,3,2.5,2.5\nx,4,0,0\nx,5,0,0\n"
+        "x,6,-0.29999999999999999,-0.29999999999999999\n"
+        "x,7,-0.29999999999999999,-0.29999999999999999\n"
+        "y,0,7,7\ny,1,2.5,2.5\ny,2,0.29999999999999999,0.29999999999999999\n"
+        "y,3,0,-0\ny,4,0,0\ny,5,-0.29999999999999999,-0.29999999999999999\n"
+        "y,6,-2.5,-2.5\ny,7,-7,-7\n"
+    ),
+    ("-0.3,2.5,0,7", "json"): (
+        '{"ok":true,"x_eigenvalues":[7.0,7.0,2.5,2.5,0.0,0.0,-0.3,-0.3],'
+        '"x_expected":[7.0,7.0,2.5,2.5,0.0,0.0,-0.3,-0.3],'
+        '"y_eigenvalues":[7.0,2.5,0.3,0.0,0.0,-0.3,-2.5,-7.0],'
+        '"y_expected":[7.0,2.5,0.3,-0.0,0.0,-0.3,-2.5,-7.0]}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("eigenvalues,fmt", sorted(EXAMPLE_GOLDEN))
+def test_example_golden_bytes(runner, eigenvalues, fmt):
+    args = ["example", "--format", fmt]
+    if eigenvalues != "default":
+        args += ["--eigenvalues", eigenvalues]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert result.stdout == EXAMPLE_GOLDEN[(eigenvalues, fmt)]
+
+
 def test_example_rejects_bad_eigenvalues(runner):
     result = runner.invoke(main, ["example", "--eigenvalues", "zero"])
     assert result.exit_code == 2
@@ -219,7 +263,9 @@ def test_haar_fixed_l_near_n_on_a_leading_b_exits_2_before_any_trial(runner, mon
 @pytest.mark.parametrize("args", [
     ["--n", "1000000000"],
     ["--word", "BAB", "--l", "40000", "--n", "100000"],
-], ids=["huge-n", "leading-b-wide-corner"])
+    # 10^11 trials keep 3.2 TB of values in the rows alone.
+    ["--n", "8,16", "--trials", "100000000000"],
+], ids=["huge-n", "leading-b-wide-corner", "huge-trials"])
 def test_haar_above_the_memory_cap_exits_2_before_any_trial(runner, monkeypatch, args):
     monkeypatch.setattr(haar_module, "sample_haar_rows", _no_trial)
     # Realizing a b-family at n = 10^9 alone would take 8 GB.
@@ -316,15 +362,22 @@ def test_golden_output_bytes(runner, tmp_path, cmd):
     ["verify-quotient", "--right-factors", "-1"],
     ["verify-quotient", "--count", "-1"],
     ["limits", "--n", ","],
+    ["verify-cyclic", "--k-max", "0"],
+    ["verify-monotone", "--k-max", "-3", "--format", "json"],
+    ["haar", "--c-rate", "nan"],
+    ["haar", "--c-rate", "inf"],
 ], ids=["model-state", "haar-slope-window", "example-eigenvalues",
-        "quotient-right-factors", "quotient-count", "limits-n"])
+        "quotient-right-factors", "quotient-count", "limits-n",
+        "verify-cyclic-k-max", "verify-monotone-k-max", "haar-c-rate-nan",
+        "haar-c-rate-inf"])
 def test_malformed_input_exits_2_before_any_work(runner, spec_file, monkeypatch, args):
     def no_work(*_args, **_kwargs):
         raise AssertionError("work started on malformed input")
 
     for name in ("mc_estimate", "quotient_check", "evaluate_state", "limit_sweep"):
         monkeypatch.setattr(cli, name, no_work)
-    if args[0] in ("model", "limits"):
+    monkeypatch.setattr(model_module, "build_model", no_work)
+    if args[0] in ("model", "limits", "verify-cyclic", "verify-monotone"):
         args = args + ["--spec", spec_file]
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output

@@ -8,12 +8,14 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _reference
+from _reference import build_dense_model
 from monotensor import linalg
 from monotensor import model as model_module
 from monotensor.cli import main
 from monotensor.model import (
     ModelSpec,
-    build_dense_model,
+    build_example_pair,
     build_model,
     evaluate_state,
     limit_sweep,
@@ -182,8 +184,8 @@ def test_cli_runs_compressed_on_one_position_per_label(tmp_path, monkeypatch):
     def no_dense(*_args, **_kwargs):
         raise AssertionError("a dense Kronecker matrix was built")
 
-    monkeypatch.setattr(model_module, "build_dense_model", no_dense)
-    monkeypatch.setattr(linalg, "kron", no_dense)
+    monkeypatch.setattr(_reference, "build_dense_model", no_dense)
+    monkeypatch.setattr(np, "kron", no_dense)
     path = tmp_path / "spec.json"
     path.write_text(
         '{"n": 1, "q": 12, "poly": "a1 + b1 a1 b12 + b12 a1 b1",'
@@ -199,11 +201,48 @@ def test_cli_runs_compressed_on_one_position_per_label(tmp_path, monkeypatch):
         assert result.exit_code == 0, (args, result.output)
 
 
-def test_example_above_the_cap_exits_2_before_allocating(monkeypatch):
-    def no_kron(*_args, **_kwargs):
-        raise AssertionError("a Kronecker product was formed")
+@pytest.mark.parametrize("eigenvalues", [
+    (0.5, 0.25, 0.125),
+    (1.0,),
+    (-0.3, 2.5, 0.0, -1e-300, 7.0),
+    tuple(-np.abs(np.random.default_rng(17).standard_normal(17))),
+], ids=["dyadic", "single", "signed-zero-denormal", "negative-gaussians"])
+def test_example_models_match_dense_model_bit_for_bit(eigenvalues):
+    pair = build_example_pair(eigenvalues)
+    for spec in (pair.x_spec, pair.y_spec):
+        model, dense = build_model(spec), build_dense_model(spec)
+        assert model.labels == (0, 1)
+        assert model.poly_matrix.tobytes() == dense.poly_matrix.tobytes()
+        assert (np.linalg.eigvalsh(model.poly_matrix).tobytes()
+                == np.linalg.eigvalsh(dense.poly_matrix).tobytes())
 
-    monkeypatch.setattr(linalg, "kron", no_kron)
+
+def test_example_peak_stays_below_its_estimate(monkeypatch):
+    estimates = []
+    check = model_module._check_memory
+
+    def record(nbytes, what):
+        estimates.append((what, nbytes))
+        check(nbytes, what)
+
+    monkeypatch.setattr(model_module, "_check_memory", record)
+    eigenvalues = np.linspace(-1.0, 1.0, 400)
+    tracemalloc.start()
+    try:
+        build_example_pair(eigenvalues)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    what, estimate = estimates[0]
+    assert what == "the example pair of size 800"
+    assert peak <= estimate
+
+
+def test_example_above_the_cap_exits_2_before_allocating(monkeypatch):
+    def no_model(*_args, **_kwargs):
+        raise AssertionError("a model matrix was built")
+
+    monkeypatch.setattr(model_module, "build_model", no_model)
     eigenvalues = ",".join(["0.5"] * 2049)
     result = CliRunner().invoke(main, ["example", "--eigenvalues", eigenvalues])
     assert result.exit_code == 2, result.output

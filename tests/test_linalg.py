@@ -6,26 +6,6 @@ import _reference as ref
 from monotensor import linalg
 
 
-def test_kron_places_left_factor_on_blocks():
-    e11 = np.array([[1.0, 0.0], [0.0, 0.0]])
-    d = np.diag([2.0, 3.0])
-    out = linalg.kron(e11, d)
-    expected = np.zeros((4, 4))
-    expected[:2, :2] = d
-    assert np.array_equal(out, expected)
-
-
-def test_kron_mixed_product():
-    rng = np.random.default_rng(11)
-    a = rng.normal(size=(2, 2))
-    b = rng.normal(size=(3, 3))
-    c = rng.normal(size=(2, 2))
-    d = rng.normal(size=(3, 3))
-    lhs = linalg.kron(a, b) @ linalg.kron(c, d)
-    rhs = linalg.kron(a @ c, b @ d)
-    assert np.max(np.abs(lhs - rhs)) <= 1e-12
-
-
 def test_partial_trace_prefix_sums():
     m = np.diag([1.0, 2.0, 4.0, 8.0])
     assert linalg.partial_trace(m, 0) == 0.0

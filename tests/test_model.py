@@ -3,16 +3,13 @@ import numpy as np
 import pytest
 
 import _reference as ref
+from _reference import FLIP, build_dense_model, corner_unit, flip_factor
 from monotensor import model as model_module
 from monotensor.model import (
-    FLIP,
     ModelSpec,
-    build_dense_model,
     build_example_pair,
     build_model,
-    corner_unit,
     evaluate_state,
-    flip_factor,
     limit_sweep,
     matrix_power,
     model_spec_from_json_obj,
