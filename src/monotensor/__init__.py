@@ -34,7 +34,6 @@ from .words import (
     b_centered,
     center_expand,
     parse_polynomial,
-    poly_isclose,
     quotient_map,
     split_runs,
 )
@@ -44,12 +43,11 @@ from .moments import (
     CYCLIC_SIGN_PATTERN,
     MONOTONE_SIGN_PATTERN,
     MomentData,
+    OrthonormalState,
     SignPatternReport,
     cyclic_moment,
-    gram_schmidt,
     moment_via_quotient,
     monotone_moment,
-    orthonormalized_table,
     quotient_check,
     sign_pattern_check,
 )
@@ -107,6 +105,7 @@ __all__ = [
     "MomentData",
     "MONOTONE_SIGN_PATTERN",
     "NCPolynomial",
+    "OrthonormalState",
     "ParseError",
     "RateFit",
     "SignPatternReport",
@@ -124,7 +123,6 @@ __all__ = [
     "embed_top_corner",
     "emit_report",
     "evaluate_state",
-    "gram_schmidt",
     "hermitian_eigenvalues",
     "is_hermitian",
     "limit_sweep",
@@ -134,11 +132,9 @@ __all__ = [
     "model_spec_from_json_obj",
     "moment_via_quotient",
     "monotone_moment",
-    "orthonormalized_table",
     "parse_polynomial",
     "parse_word",
     "partial_trace",
-    "poly_isclose",
     "qr_unitary",
     "quotient_check",
     "quotient_map",

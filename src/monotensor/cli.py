@@ -82,13 +82,28 @@ def _floats(text: str) -> list[float]:
         raise _fail(exc)
 
 
+def _echo(text: str, nl: bool = True, err: bool = False) -> None:
+    # Without ``file``, click.echo caches a stream wrapper keyed by
+    # sys.stdout for good, so a caller that swaps sys.stdout on every call
+    # (CliRunner) would keep one per call; a stream passed in is not cached.
+    stream = click.get_text_stream("stderr" if err else "stdout")
+    click.echo(text, file=stream, nl=nl)
+
+
+def _finite(_ctx, _param, value):
+    """Refuse inf and nan, which would turn a check off."""
+    if value is not None and not math.isfinite(value):
+        raise click.BadParameter(f"must be a finite number, got {value}")
+    return value
+
+
 def _emit(text: str, output) -> None:
     """Write ``text`` to ``output`` when given, else echo it to stdout."""
     if output:
         write_text(output, text)
-        click.echo(f"wrote {output}")
+        _echo(f"wrote {output}")
     else:
-        click.echo(text, nl=False)
+        _echo(text, nl=False)
 
 
 @click.group()
@@ -110,7 +125,7 @@ def example(eigenvalues, fmt, output):
         raise _fail(exc)
     _emit(emit_report(pair, fmt), output)
     if not pair.ok:
-        click.echo("eigenvalues deviate from the expected pattern", err=True)
+        _echo("eigenvalues deviate from the expected pattern", err=True)
         sys.exit(1)
 
 
@@ -135,7 +150,7 @@ def model(spec_path, state, k):
         value = evaluate_state(build_model(spec), k, parsed)
     except ValueError as exc:
         raise _fail(exc)
-    click.echo(canonical_json(
+    _echo(canonical_json(
         {"k": k, "state": state, "value": [value.real, value.imag]}
     ), nl=False)
 
@@ -146,7 +161,7 @@ def _verify_command(kind):
     @click.option("--spec", "spec_path", required=True, type=click.Path(exists=True))
     @click.option("--moments", "moments_path", type=click.Path(exists=True), default=None)
     @click.option("--k-max", "--k", "k_max", default=5, show_default=True)
-    @click.option("--tolerance", default=1e-10, show_default=True)
+    @click.option("--tolerance", default=1e-10, show_default=True, callback=_finite)
     @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
     @click.option("--output", type=click.Path(writable=True), default=None)
     def command(spec_path, moments_path, k_max, tolerance, fmt, output):
@@ -158,7 +173,7 @@ def _verify_command(kind):
             raise _fail(exc)
         _emit(emit_report(report, fmt), output)
         if not report.passed:
-            click.echo(f"max residual {report.max_residual:.3e}", err=True)
+            _echo(f"max residual {report.max_residual:.3e}", err=True)
             sys.exit(1)
 
     command.__name__ = f"verify_{kind}"
@@ -179,7 +194,7 @@ main.command("verify-monotone")(_verify_command("monotone"))
 @click.option("--right-factors", type=click.IntRange(min=1), default=50,
               show_default=True)
 @click.option("--seed", default=20260819, show_default=True)
-@click.option("--tolerance", default=1e-10, show_default=True)
+@click.option("--tolerance", default=1e-10, show_default=True, callback=_finite)
 @click.option("--output", type=click.Path(writable=True), default=None)
 def verify_quotient(spec_path, count, right_factors, seed, tolerance, output):
     """Quotient-route evaluation against the direct evaluators.
@@ -219,7 +234,7 @@ def verify_quotient(spec_path, count, right_factors, seed, tolerance, output):
 @click.option("--n", "n_text", default=None, help="Comma list; default n,2n,4n.")
 @click.option("--l", "l_text", default="auto", show_default=True,
               help="Comma list of truncation points, or 'auto'.")
-@click.option("--tolerance", default=1e-12, show_default=True)
+@click.option("--tolerance", default=1e-12, show_default=True, callback=_finite)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--output", type=click.Path(writable=True), default=None)
 def limits(spec_path, k, n_text, l_text, tolerance, fmt, output):
@@ -244,7 +259,7 @@ def limits(spec_path, k, n_text, l_text, tolerance, fmt, output):
         <= 1e-10 * (1.0 + abs(sym_monotone))
     )
     if not (report.ok and agree):
-        click.echo("limit table failed stabilization or symbolic agreement", err=True)
+        _echo("limit table failed stabilization or symbolic agreement", err=True)
         sys.exit(1)
 
 
@@ -278,7 +293,7 @@ def tables(moments_path, fmt, output):
 @click.option("--seed", default=7, show_default=True)
 @click.option("--family", "family_path", type=click.Path(exists=True), default=None,
               help="JSON with 'a' (eigenvalue blocks) and 'b' (diagonal patterns).")
-@click.option("--c-rate", type=float, default=None,
+@click.option("--c-rate", type=float, default=None, callback=_finite,
               help="Frozen 1/n constant; calibrated at the smallest n when absent.")
 @click.option("--slope-window", default="-1.6,-0.7", show_default=True)
 @click.option("--output", type=click.Path(writable=True), default=None)
@@ -306,8 +321,6 @@ def haar(word, n_text, l_rule, trials, seed, family_path, c_rate, slope_window,
     if len(window) != 2:
         raise _fail(f"--slope-window takes two numbers lo,hi, got {slope_window!r}")
     lo, hi = window
-    if c_rate is not None and not math.isfinite(c_rate):
-        raise _fail(f"--c-rate must be a finite number, got {c_rate}")
     if l_rule not in ("full", "half"):
         try:
             l_rule = int(l_rule)
@@ -332,7 +345,7 @@ def haar(word, n_text, l_rule, trials, seed, family_path, c_rate, slope_window,
     slope_ok = fit.slope_in(lo, hi)
     _emit(emit_report(report, "csv"), output)
     _emit(emit_report(fit, "json"), fit_output)
-    click.echo(
+    _echo(
         f"c_rate={frozen:.6g} bound_failures={failures} "
         f"slope={fit.slope:.3f} band=({fit.band[0]:.3f},{fit.band[1]:.3f})"
     )

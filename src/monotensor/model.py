@@ -29,12 +29,12 @@ import numpy as np
 from . import linalg
 from .moments import (
     AFamilyMoments,
-    BMomentTable,
     MomentData,
+    OrthonormalState,
     cyclic_moment,
     monotone_moment,
 )
-from .words import NCPolynomial, check_expansion, split_runs
+from .words import NCPolynomial, check_expansion
 
 #: Most bytes of matrices a model build may plan to hold at once (1 GiB).
 #: Each estimate is checked against it before anything is allocated.
@@ -50,10 +50,10 @@ ENTRY_BYTES = 16
 #: Largest polynomial power evaluate_state accepts.
 POWER_CAP = 32
 
-#: Largest q a spec may have.  ``moment_data`` builds the orthonormal
-#: b-table for every run of up to 4 indices or more, at least
-#: q + q^2 + q^3 + q^4 of them (22,620 at q = 12), before any check can run.
-MAX_Q = 12
+#: Largest q a spec may have.  ``limits`` prints positions up to n * 2^q
+#: in decimal, and Python refuses to print an int of more than 4,300
+#: digits.  2^1024 has 309 digits, well inside that limit.
+MAX_Q = 1024
 
 #: Most (n, l) cells limit_sweep tabulates.
 SWEEP_CELL_CAP = 2**16
@@ -103,26 +103,8 @@ class ModelSpec:
         return dataclasses.replace(self, n=n)
 
     def moment_data(self) -> MomentData:
-        """The matching symbolic data: same a-matrices, orthonormal b-table.
-
-        Every word holds an a-letter, so each b-run of a power of ``poly``
-        is an inner run of one word or a trail joined to a lead.  The
-        table holds every run up to the longest of those, and at least
-        every run of up to 4 indices; a centered run counts its indices.
-        """
-        leads, inner, trails = [0], [0], [0]
-        for word in self.poly.terms:
-            _, runs = split_runs(word)
-            lengths = [sum(len(x) if isinstance(x, tuple) else 1 for x in run)
-                       for run in runs]
-            leads.append(lengths[0])
-            inner.extend(lengths[1:-1])
-            trails.append(lengths[-1])
-        max_len = max(4, max(inner), max(trails) + max(leads))
-        return MomentData(
-            AFamilyMoments(self.a_matrices),
-            BMomentTable.orthonormal(self.q, max_len=max_len),
-        )
+        """The matching symbolic data: same a-matrices, orthonormal b-state."""
+        return MomentData(AFamilyMoments(self.a_matrices), OrthonormalState(self.q))
 
 
 @dataclass

@@ -2,9 +2,9 @@
 
 The a-family carries a non-normalized trace weight given by explicit
 Hermitian matrices (or an eigenvalue list); the b-family carries a
-tracial state given by a finite table of run moments.  Two linear
-functionals are evaluated on polynomials whose every word contains an
-a-letter:
+tracial state, either a finite table of run moments or the rule of a
+centered orthonormal family.  Two linear functionals are evaluated on
+polynomials whose every word contains an a-letter:
 
 * the cyclic functional factors a word as  weight(a-letters) *
   state(inner runs) * state(trailing run concatenated with leading run);
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 import numpy as np
 
@@ -42,14 +41,6 @@ from .words import (
 )
 
 TABLE_CHECK_TOL = 1e-12
-
-#: Most runs :meth:`BMomentTable.orthonormal` tabulates, q + q^2 + .. +
-#: q^max_len of them.  At the cap, runs of up to 16 indices over q = 2
-#: peak at 54 MiB while the table is built and take about 4 s.
-ORTHONORMAL_ENTRY_CAP = 2**17
-
-#: Smallest squared norm :func:`gram_schmidt` accepts as a pivot.
-PIVOT_TOL = 1e-10
 
 #: One b-index of a comma-separated ``tau`` key such as ``"1,10"``.
 _TAU_INDEX = re.compile(r"[1-9][0-9]*")
@@ -99,34 +90,6 @@ class BMomentTable:
                         f"table is not tracial: value({rot}) != value({run})"
                     )
 
-    @classmethod
-    def orthonormal(cls, q: int, max_len: int = 4) -> "BMomentTable":
-        """Moments of a centered orthonormal family.
-
-        Singletons are 0 and pairs are delta(i, j); longer runs follow
-        the even-multiplicity rule (1 iff every index occurs an even
-        number of times), which is the value the concrete flip-matrix
-        realization of such a family takes at every length.
-        """
-        if q < 0:
-            raise ValueError("q must be non-negative")
-        if not q:
-            max_len = 0  # no b-generators, no runs
-        entries = 0
-        for length in range(1, max_len + 1):
-            entries += q**length
-            if entries > ORTHONORMAL_ENTRY_CAP:
-                raise ValueError(
-                    f"the orthonormal table for q={q} and runs of up to {max_len} "
-                    f"indices holds more than {ORTHONORMAL_ENTRY_CAP} entries"
-                )
-        values: dict[tuple[int, ...], float] = {}
-        for length in range(1, max_len + 1):
-            for run in iter_product(range(1, q + 1), repeat=length):
-                counts = {j: run.count(j) for j in set(run)}
-                values[run] = 1.0 if all(c % 2 == 0 for c in counts.values()) else 0.0
-        return cls(values, q=q)
-
     def value(self, run) -> complex:
         run = tuple(run)
         if not run:
@@ -137,6 +100,36 @@ class BMomentTable:
             raise MissingMomentError(
                 f"no stored moment for b-run {run}; extend the table"
             ) from None
+
+
+class OrthonormalState:
+    """State of a centered orthonormal family of q commuting flips.
+
+    A run has value 1 when every index occurs an even number of times and
+    0 otherwise: singletons are 0, pairs are delta(i, j), and every longer
+    run takes the value of the flip realization in the matrix model.
+    Values are computed on demand and memoized.  A run with an index
+    outside 1..q raises :class:`~monotensor.words.MissingMomentError`, as
+    a run missing from a :class:`BMomentTable` does.
+    """
+
+    def __init__(self, q: int):
+        if q < 0:
+            raise ValueError("q must be non-negative")
+        self.q = int(q)
+        self._values: dict[tuple[int, ...], complex] = {}
+
+    def value(self, run) -> complex:
+        run = tuple(run)
+        value = self._values.get(run)
+        if value is None:
+            if not all(1 <= j <= self.q for j in run):
+                raise MissingMomentError(
+                    f"b-run {run} has an index outside 1..{self.q}"
+                )
+            even = all(run.count(j) % 2 == 0 for j in set(run))
+            value = self._values[run] = 1.0 + 0.0j if even else 0.0j
+        return value
 
 
 class AFamilyMoments:
@@ -214,7 +207,7 @@ class MomentData:
     """Everything needed to evaluate the two functionals."""
 
     a_moments: AFamilyMoments
-    b_table: BMomentTable
+    b_table: BMomentTable | OrthonormalState
 
     @property
     def p(self) -> int:
@@ -225,20 +218,14 @@ class MomentData:
         return self.b_table.q
 
     @classmethod
-    def standard(cls, eigenvalues, q: int = 1, max_len: int = 4) -> "MomentData":
-        """Single diagonal a-matrix plus the orthonormal b-table."""
-        return cls(
-            AFamilyMoments.from_eigenvalues(eigenvalues),
-            BMomentTable.orthonormal(q, max_len=max_len),
-        )
+    def standard(cls, eigenvalues, q: int = 1) -> "MomentData":
+        """Single diagonal a-matrix plus the orthonormal b-state."""
+        return cls(AFamilyMoments.from_eigenvalues(eigenvalues), OrthonormalState(q))
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "MomentData":
         if "eigenvalues" in obj:
-            a_moments = AFamilyMoments.from_eigenvalues(obj["eigenvalues"])
-            q = int(obj.get("q", 1))
-            table = BMomentTable.orthonormal(q, max_len=int(obj.get("tau_max_len", 4)))
-            return cls(a_moments, table)
+            return cls.standard(obj["eigenvalues"], int(obj.get("q", 1)))
         if "a_matrices" not in obj or "tau" not in obj:
             raise ValueError(
                 "moment data needs either 'eigenvalues' or 'a_matrices' plus 'tau'"
@@ -253,19 +240,6 @@ class MomentData:
                 raise ValueError(f"tau names the b-run {run} twice")
             values[run] = complex(val[0], val[1]) if isinstance(val, list) else complex(val)
         return cls(a_moments, BMomentTable(values, q=obj.get("q")))
-
-    def to_json_obj(self) -> dict:
-        tau = {}
-        for run, val in sorted(self.b_table.values.items()):
-            key = "".join(str(j) for j in run)
-            if max(run) >= 10:
-                key = ",".join(str(j) for j in run) + ("," if len(run) == 1 else "")
-            tau[key] = val.real if val.imag == 0.0 else [val.real, val.imag]
-        return {
-            "a_matrices": [linalg.matrix_to_json(m) for m in self.a_moments.matrices],
-            "tau": tau,
-            "q": self.b_table.q,
-        }
 
 
 def _tau_run(key: str) -> tuple[int, ...]:
@@ -286,7 +260,7 @@ def _tau_run(key: str) -> tuple[int, ...]:
     )
 
 
-def run_mean(run, table: BMomentTable) -> complex:
+def run_mean(run, table: BMomentTable | OrthonormalState) -> complex:
     """State value of a coded b-run that may contain centered atoms."""
     total = 0.0 + 0.0j
     for plain, coeff in expand_run(run, table):
@@ -478,79 +452,3 @@ def sign_pattern_check(data: MomentData) -> SignPatternReport:
         cyclic_ok=cyc == CYCLIC_SIGN_PATTERN,
         monotone_ok=mono == MONOTONE_SIGN_PATTERN,
     )
-
-
-# -- orthonormalization of a b-family ------------------------------------
-
-
-def gram_schmidt(gram, means) -> np.ndarray:
-    """Orthonormalize {1, b_1..b_q} in the state's inner product.
-
-    ``gram[i, j]`` holds state(b_i* b_j) and ``means[i]`` holds
-    state(b_i).  Returns a (q, q+1) coefficient matrix C with
-    ``b'_i = C[i, 0] * 1 + sum_k C[i, k] * b_k``; the primed family is
-    centered and orthonormal.  Pivots below :data:`PIVOT_TOL` (linear
-    dependence, or a Gram matrix that is not positive definite) raise
-    ``ValueError``.
-    """
-    gram = np.asarray(gram, dtype=np.complex128)
-    means = np.asarray(means, dtype=np.complex128).ravel()
-    q = means.size
-    if gram.shape != (q, q):
-        raise ValueError(f"gram must be ({q}, {q}) to match means, got {gram.shape}")
-    full = np.zeros((q + 1, q + 1), dtype=np.complex128)
-    full[0, 0] = 1.0
-    full[0, 1:] = means
-    full[1:, 0] = means.conjugate()
-    full[1:, 1:] = gram
-    if not linalg.is_hermitian(full, rtol=1e-10):
-        raise ValueError("gram matrix is not Hermitian")
-
-    def inner(x, y):
-        return complex(x.conjugate() @ full @ y)
-
-    basis = [np.eye(q + 1, dtype=np.complex128)[0]]
-    for i in range(1, q + 1):
-        v = np.eye(q + 1, dtype=np.complex128)[i]
-        for u in basis:
-            v = v - inner(u, v) * u
-        nrm2 = inner(v, v).real
-        if nrm2 < PIVOT_TOL:
-            raise ValueError(
-                f"orthonormalization pivot {nrm2:.3e} below {PIVOT_TOL:.1e}: "
-                "family is linearly dependent or the Gram matrix is not positive"
-            )
-        basis.append(v / np.sqrt(nrm2))
-    return np.array(basis[1:])
-
-
-def orthonormalized_table(coeffs, table: BMomentTable) -> BMomentTable:
-    """Singleton and pair moments of the orthonormalized family.
-
-    Expands state values of ``b'_i`` and ``b'_i b'_j`` multilinearly in
-    the original family (assumed self-adjoint, so products need no
-    conjugation); the result is the centered orthonormal table up to
-    rounding.
-    """
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
-    q = coeffs.shape[0]
-    if coeffs.shape != (q, q + 1):
-        raise ValueError(f"coefficient matrix must be (q, q+1), got {coeffs.shape}")
-    ext = np.zeros(q + 1, dtype=np.complex128)
-    ext[0] = 1.0
-    for k in range(1, q + 1):
-        ext[k] = table.value((k,))
-    prods = np.zeros((q + 1, q + 1), dtype=np.complex128)
-    prods[0, :] = ext
-    prods[:, 0] = ext
-    for k in range(1, q + 1):
-        for l in range(1, q + 1):
-            prods[k, l] = table.value((k, l))
-    singles = coeffs @ ext
-    pairs = coeffs @ prods @ coeffs.T
-    values: dict[tuple[int, ...], complex] = {}
-    for i in range(q):
-        values[(i + 1,)] = singles[i]
-        for j in range(q):
-            values[(i + 1, j + 1)] = pairs[i, j]
-    return BMomentTable(values, q=q)

@@ -4,9 +4,9 @@ All randomness in the package flows through counter-based Philox
 streams keyed by a master seed plus a tuple of integer ids, so any
 draw can be reproduced from (seed, ids) alone.  The generators here
 produce the randomized polynomials and matrices used by the
-verification suites; they are deliberately shaped like the model
-polynomials (single b-letters between a-letters) so every run moment
-the evaluators need is covered by the orthonormal table.
+verification suites.  They are shaped like the model polynomials, with
+at most one b-letter before, between and after the a-letters, so every
+b-run of a power holds at most two letters: a trail joined to a lead.
 """
 from __future__ import annotations
 

@@ -369,11 +369,6 @@ class NCPolynomial:
         return parse_polynomial(text)
 
 
-def poly_isclose(p: NCPolynomial, r: NCPolynomial, tol: float = 1e-12) -> bool:
-    words = set(p.terms) | set(r.terms)
-    return all(abs(p.terms.get(w, 0.0) - r.terms.get(w, 0.0)) <= tol for w in words)
-
-
 def _format_coeff(c: complex) -> str:
     if c.imag == 0.0:
         return format(c.real, "g")

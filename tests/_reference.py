@@ -10,6 +10,10 @@ products: ``a`` maps to ``corner (x) a_padded`` and ``b_j`` to
 2^q tensor space and ``B_j`` puts a flip in tensor slot j.  The tests
 check :func:`monotensor.model.build_model`, which works on the reachable
 blocks only, against it.
+
+``gram_schmidt`` and ``orthonormalized_table`` orthonormalize a b-family
+in its state, and ``poly_isclose`` compares polynomials term by term;
+only the tests call them.
 """
 from dataclasses import dataclass
 
@@ -17,6 +21,8 @@ import numpy as np
 
 from monotensor import linalg
 from monotensor.model import ENTRY_BYTES, ModelSpec, _check_memory
+from monotensor.moments import BMomentTable
+from monotensor.words import NCPolynomial
 
 EIGS = (0.5, 0.25, 0.125)
 
@@ -121,3 +127,87 @@ def _atom_matrix(atom, a_reps, b_reps, dim: int) -> np.ndarray:
     if atom > 0:
         return a_reps[atom - 1]
     return b_reps[-atom - 1]
+
+
+# -- orthonormalization of a b-family ----------------------------------------
+
+#: Smallest squared norm :func:`gram_schmidt` accepts as a pivot.
+PIVOT_TOL = 1e-10
+
+
+def gram_schmidt(gram, means) -> np.ndarray:
+    """Orthonormalize {1, b_1..b_q} in the state's inner product.
+
+    ``gram[i, j]`` holds state(b_i* b_j) and ``means[i]`` holds
+    state(b_i).  Returns a (q, q+1) coefficient matrix C with
+    ``b'_i = C[i, 0] * 1 + sum_k C[i, k] * b_k``; the primed family is
+    centered and orthonormal.  Pivots below :data:`PIVOT_TOL` (linear
+    dependence, or a Gram matrix that is not positive definite) raise
+    ``ValueError``.
+    """
+    gram = np.asarray(gram, dtype=np.complex128)
+    means = np.asarray(means, dtype=np.complex128).ravel()
+    q = means.size
+    if gram.shape != (q, q):
+        raise ValueError(f"gram must be ({q}, {q}) to match means, got {gram.shape}")
+    full = np.zeros((q + 1, q + 1), dtype=np.complex128)
+    full[0, 0] = 1.0
+    full[0, 1:] = means
+    full[1:, 0] = means.conjugate()
+    full[1:, 1:] = gram
+    if not linalg.is_hermitian(full, rtol=1e-10):
+        raise ValueError("gram matrix is not Hermitian")
+
+    def inner(x, y):
+        return complex(x.conjugate() @ full @ y)
+
+    basis = [np.eye(q + 1, dtype=np.complex128)[0]]
+    for i in range(1, q + 1):
+        v = np.eye(q + 1, dtype=np.complex128)[i]
+        for u in basis:
+            v = v - inner(u, v) * u
+        nrm2 = inner(v, v).real
+        if nrm2 < PIVOT_TOL:
+            raise ValueError(
+                f"orthonormalization pivot {nrm2:.3e} below {PIVOT_TOL:.1e}: "
+                "family is linearly dependent or the Gram matrix is not positive"
+            )
+        basis.append(v / np.sqrt(nrm2))
+    return np.array(basis[1:])
+
+
+def orthonormalized_table(coeffs, table: BMomentTable) -> BMomentTable:
+    """Singleton and pair moments of the orthonormalized family.
+
+    Expands state values of ``b'_i`` and ``b'_i b'_j`` multilinearly in
+    the original family (assumed self-adjoint, so products need no
+    conjugation); the result is the centered orthonormal table up to
+    rounding.
+    """
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    q = coeffs.shape[0]
+    if coeffs.shape != (q, q + 1):
+        raise ValueError(f"coefficient matrix must be (q, q+1), got {coeffs.shape}")
+    ext = np.zeros(q + 1, dtype=np.complex128)
+    ext[0] = 1.0
+    for k in range(1, q + 1):
+        ext[k] = table.value((k,))
+    prods = np.zeros((q + 1, q + 1), dtype=np.complex128)
+    prods[0, :] = ext
+    prods[:, 0] = ext
+    for k in range(1, q + 1):
+        for l in range(1, q + 1):
+            prods[k, l] = table.value((k, l))
+    singles = coeffs @ ext
+    pairs = coeffs @ prods @ coeffs.T
+    values: dict[tuple[int, ...], complex] = {}
+    for i in range(q):
+        values[(i + 1,)] = singles[i]
+        for j in range(q):
+            values[(i + 1, j + 1)] = pairs[i, j]
+    return BMomentTable(values, q=q)
+
+
+def poly_isclose(p: NCPolynomial, r: NCPolynomial, tol: float = 1e-12) -> bool:
+    words = set(p.terms) | set(r.terms)
+    return all(abs(p.terms.get(w, 0.0) - r.terms.get(w, 0.0)) <= tol for w in words)

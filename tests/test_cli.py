@@ -1,6 +1,12 @@
 """Command-line interface: exit codes, artifacts, reproducibility."""
+import gc
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
@@ -34,6 +40,37 @@ def test_version(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
     assert "0.1.0" in result.output
+
+
+@pytest.mark.parametrize("cmd", ["model", "tables"])
+def test_in_process_calls_keep_no_memory(runner, spec_file, cmd):
+    # An in-process caller swaps sys.stdout on every call; the CLI must not
+    # keep a stream (or anything else) per call.
+    args = [cmd, "--spec", spec_file] if cmd == "model" else [cmd]
+    calls = 300
+    for _ in range(20):
+        runner.invoke(main, args)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(calls):
+            assert runner.invoke(main, args).exit_code == 0
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept / calls < 200
+
+
+def test_tables_writes_utf8_under_an_ascii_locale(runner):
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONIOENCODING": "ascii", "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "monotensor.cli", "tables"],
+                          env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "°".encode() in proc.stdout
+    assert proc.stdout == runner.invoke(main, ["tables"]).stdout.encode()
 
 
 def test_example_passes(runner):
@@ -302,7 +339,7 @@ def test_verify_artifact_byte_identical(runner, spec_file, tmp_path):
 
 
 # Dyadic eigenvalues, Gaussian-integer coefficients and the orthonormal
-# b-table make every value below exact, so the bytes depend on neither
+# b-state make every value below exact, so the bytes depend on neither
 # the BLAS nor the order of summation.
 GOLDEN_SPEC = {
     "n": 3,
@@ -366,10 +403,16 @@ def test_golden_output_bytes(runner, tmp_path, cmd):
     ["verify-monotone", "--k-max", "-3", "--format", "json"],
     ["haar", "--c-rate", "nan"],
     ["haar", "--c-rate", "inf"],
+    ["verify-cyclic", "--tolerance", "inf"],
+    ["verify-monotone", "--tolerance", "nan"],
+    ["verify-quotient", "--tolerance", "inf"],
+    ["limits", "--tolerance", "-inf"],
 ], ids=["model-state", "haar-slope-window", "example-eigenvalues",
         "quotient-right-factors", "quotient-count", "limits-n",
         "verify-cyclic-k-max", "verify-monotone-k-max", "haar-c-rate-nan",
-        "haar-c-rate-inf"])
+        "haar-c-rate-inf", "verify-cyclic-tolerance-inf",
+        "verify-monotone-tolerance-nan", "quotient-tolerance-inf",
+        "limits-tolerance-minus-inf"])
 def test_malformed_input_exits_2_before_any_work(runner, spec_file, monkeypatch, args):
     def no_work(*_args, **_kwargs):
         raise AssertionError("work started on malformed input")
@@ -417,35 +460,50 @@ def test_long_words_reach_the_atom_cap_sooner(runner, tmp_path):
 
 
 def test_spec_with_q_above_the_cap_exits_2_before_any_table(runner, tmp_path):
-    # moment_data would build q + q^2 + q^3 + q^4 b-runs (about 1e8 at
-    # q = 100); the spec is refused when it is read.
+    # limits prints positions up to n * 2^q; the spec is refused when it is read.
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({
-        "n": 1, "q": 100, "poly": "a1", "a": [{"eigenvalues": [0.5]}],
+        "n": 1, "q": 1025, "poly": "a1", "a": [{"eigenvalues": [0.5]}],
     }))
     t0 = time.monotonic()
     for args in (["verify-cyclic"], ["verify-monotone"], ["limits"],
                  ["verify-quotient"], ["model"]):
         result = runner.invoke(main, args + ["--spec", str(path)])
         assert result.exit_code == 2, (args, result.output)
-        assert "q must lie in 0..12" in result.output
+        assert "q must lie in 0..1024" in result.output
     assert time.monotonic() - t0 < 5.0
+
+
+@pytest.mark.parametrize("q", [13, 100, 1024])
+def test_spec_of_any_q_up_to_the_cap_runs(runner, spec_file, tmp_path, q):
+    # The same polynomial on b_q instead of b_1: every value is unchanged.
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({**SPEC_OBJ, "q": q, "poly": f"a1 + b{q} a1 b{q}"}))
+    for args in (["verify-cyclic"], ["verify-monotone"], ["verify-quotient"],
+                 ["model", "--k", "3"]):
+        want = runner.invoke(main, args + ["--spec", spec_file])
+        got = runner.invoke(main, args + ["--spec", str(path)])
+        assert got.exit_code == want.exit_code == 0, (args, got.output)
+        assert got.stdout == want.stdout
+    result = runner.invoke(main, ["limits", "--spec", str(path)])
+    assert result.exit_code == 0, result.output
+    assert result.stdout.splitlines()[-1] == f"12,{12 * 2**q},0.65625,0"
 
 
 @pytest.mark.parametrize("moments", [
-    {"eigenvalues": [0.5], "q": 100},
-    {"eigenvalues": [0.5], "q": 3, "tau_max_len": 40},
+    {"eigenvalues": [0.5, 0.25, 0.125], "q": 100},
+    {"eigenvalues": [0.5, 0.25, 0.125], "q": 3, "tau_max_len": 40},
 ], ids=["q-100", "runs-of-40"])
-def test_oversized_orthonormal_moments_exit_2_before_the_table(runner, spec_file,
-                                                               tmp_path, moments):
+def test_orthonormal_moments_of_any_width_run(runner, spec_file, tmp_path, moments):
+    # The orthonormal state applies its rule on demand: a wide family or a
+    # tau_max_len key (ignored, like any unknown key) changes no output.
     path = tmp_path / "moments.json"
     path.write_text(json.dumps(moments))
-    t0 = time.monotonic()
     for args in (["tables"], ["verify-cyclic", "--spec", spec_file]):
-        result = runner.invoke(main, args + ["--moments", str(path)])
-        assert result.exit_code == 2, (args, result.output)
-        assert "entries" in result.output
-    assert time.monotonic() - t0 < 5.0
+        want = runner.invoke(main, args)
+        got = runner.invoke(main, args + ["--moments", str(path)])
+        assert got.exit_code == want.exit_code == 0, (args, got.output)
+        assert got.stdout == want.stdout
 
 
 def test_spec_whose_runs_meet_into_six_verifies(runner, tmp_path):

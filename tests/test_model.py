@@ -18,7 +18,7 @@ from monotensor.model import (
 )
 from monotensor.moments import MomentData, cyclic_moment
 from monotensor.sampling import random_model_spec, stream
-from monotensor.words import CenteredRun, Letter, NCPolynomial, ParseError, a, b
+from monotensor.words import NCPolynomial, ParseError, a, b
 
 
 def _example_spec(n=3, q=1, poly="a1 + b1 a1 b1"):
@@ -338,22 +338,3 @@ def test_example_pair_zero_eigenvalues():
     assert pair.ok
     assert np.array_equal(pair.x_eigenvalues, np.zeros(6))
     assert np.array_equal(pair.y_eigenvalues, np.zeros(6))
-
-
-def test_moment_data_holds_the_runs_of_every_power():
-    eigs = (np.diag([0.5, 0.25]),)
-
-    def longest(poly, q=3):
-        if isinstance(poly, str):
-            poly = NCPolynomial.parse(poly)
-        spec = ModelSpec(n=2, q=q, a_matrices=eigs, poly=poly)
-        return max(map(len, spec.moment_data().b_table.values), default=0)
-
-    assert longest("a1 + b1 a1 b1") == 4  # the floor
-    assert longest("b1 a1 b1 b2 b3 b1 b2 a1") == 5  # an inner run
-    assert longest("b1 b2 b3 a1 b3 b2 b1 + a1") == 6  # trail meets lead
-    a1 = Letter("A", 1)
-    centered = NCPolynomial({(CenteredRun((1, 2, 3)), a1): 1.0,
-                             (a1, CenteredRun((3, 2))): 1.0})
-    assert longest(centered) == 5  # a centered run counts its indices
-    assert longest("a1", q=0) == 0

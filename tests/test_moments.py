@@ -1,4 +1,7 @@
 """Moment evaluation: tables, the two functionals, and sign patterns."""
+import itertools
+import json
+
 import numpy as np
 import pytest
 
@@ -10,11 +13,10 @@ from monotensor.moments import (
     CYCLIC_SIGN_PATTERN,
     MONOTONE_SIGN_PATTERN,
     MomentData,
+    OrthonormalState,
     cyclic_moment,
-    gram_schmidt,
     moment_via_quotient,
     monotone_moment,
-    orthonormalized_table,
     quotient_check,
     sign_pattern_check,
 )
@@ -53,7 +55,7 @@ def test_a_family_validation():
 
 
 def test_orthonormal_table_parity_rule():
-    table = BMomentTable.orthonormal(2)
+    table = OrthonormalState(2)
     assert table.value(()) == 1.0
     assert table.value((1,)) == 0.0
     assert table.value((1, 1)) == 1.0
@@ -61,20 +63,21 @@ def test_orthonormal_table_parity_rule():
     assert table.value((1, 2, 2, 1)) == 1.0
     assert table.value((1, 2, 1, 2)) == 1.0
     assert table.value((1, 1, 1, 2)) == 0.0
+    # The rule holds at any length and any q.
+    assert table.value((1, 2) * 20) == 1.0 and table.value((2,) * 41) == 0.0
+    assert OrthonormalState(1000).value((1000, 7, 1000, 7)) == 1.0
 
 
 def test_table_missing_entry_raises():
-    table = BMomentTable.orthonormal(1)
+    table = BMomentTable({(1,): 0.0, (1, 1): 1.0}, q=1)
     with pytest.raises(MissingMomentError):
         table.value((1,) * 5)
-
-
-def test_orthonormal_table_is_bounded_before_it_is_built():
-    assert BMomentTable.orthonormal(0, max_len=10**12).values == {}
-    assert len(BMomentTable.orthonormal(12).values) == 22_620
-    for q, max_len in ((100, 4), (30, 4), (3, 12), (2, 17), (1, 10**12)):
-        with pytest.raises(ValueError, match="entries"):
-            BMomentTable.orthonormal(q, max_len=max_len)
+    # The orthonormal state misses only indices outside 1..q.
+    for state, run in ((OrthonormalState(1), (1, 2)), (OrthonormalState(0), (1,))):
+        with pytest.raises(MissingMomentError):
+            state.value(run)
+    with pytest.raises(ValueError):
+        OrthonormalState(-1)
 
 
 def test_table_rejects_inconsistent_values():
@@ -145,7 +148,8 @@ def test_moment_rejects_b_only_words():
 def test_missing_entry_not_masked_by_zero_factor():
     # The first inner run has value 0; the second is not in the table.
     # The lookup must still fail rather than short-circuit to 0.
-    data = MomentData.standard(ref.EIGS, q=1, max_len=2)
+    data = MomentData(AFamilyMoments.from_eigenvalues(ref.EIGS),
+                      BMomentTable({(1,): 0.0, (1, 1): 1.0}, q=1))
     word = a(1) * b(1) * a(1) * (b(1) * b(1) * b(1)) * a(1)
     with pytest.raises(MissingMomentError):
         cyclic_moment(word, data)
@@ -231,11 +235,11 @@ def test_self_products_positive():
 
 def test_gram_schmidt_single_generator():
     # tau(b) = 1/2, tau(b^2) = 1: b' = (b - 1/2) / sqrt(3/4).
-    coeffs = gram_schmidt(np.array([[1.0]]), np.array([0.5]))
+    coeffs = ref.gram_schmidt(np.array([[1.0]]), np.array([0.5]))
     scale = 1.0 / np.sqrt(0.75)
     assert np.allclose(coeffs, [[-0.5 * scale, scale]], atol=1e-12)
     table = BMomentTable({(1,): 0.5, (1, 1): 1.0}, q=1)
-    primed = orthonormalized_table(coeffs, table)
+    primed = ref.orthonormalized_table(coeffs, table)
     assert abs(primed.value((1,))) <= 1e-12
     assert abs(primed.value((1, 1)) - 1.0) <= 1e-12
 
@@ -243,12 +247,12 @@ def test_gram_schmidt_single_generator():
 def test_gram_schmidt_two_generators():
     gram = np.array([[1.0, 0.3], [0.3, 1.0]])
     means = np.array([0.2, 0.1])
-    coeffs = gram_schmidt(gram, means)
+    coeffs = ref.gram_schmidt(gram, means)
     table = BMomentTable(
         {(1,): 0.2, (2,): 0.1, (1, 1): 1.0, (2, 2): 1.0, (1, 2): 0.3, (2, 1): 0.3},
         q=2,
     )
-    primed = orthonormalized_table(coeffs, table)
+    primed = ref.orthonormalized_table(coeffs, table)
     for j in (1, 2):
         assert abs(primed.value((j,))) <= 1e-12
     for i in (1, 2):
@@ -260,19 +264,23 @@ def test_gram_schmidt_two_generators():
 def test_gram_schmidt_rejects_dependence():
     gram = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(ValueError):
-        gram_schmidt(gram, np.array([0.0, 0.0]))
+        ref.gram_schmidt(gram, np.array([0.0, 0.0]))
 
 
 def test_moment_data_json_forms():
     data = MomentData.from_json_obj({"eigenvalues": [0.5, 0.25], "q": 2})
     assert data.p == 1 and data.q == 2
     assert data.b_table.value((1, 2, 2, 1)) == 1.0
+    # A tau_max_len key is ignored, like any unknown key.
+    same = MomentData.from_json_obj({"eigenvalues": [0.5, 0.25], "q": 2, "tau_max_len": 1})
+    assert same.b_table.value((1, 2, 1, 2, 2, 2)) == 1.0
 
-    obj = STANDARD.to_json_obj()
-    back = MomentData.from_json_obj(obj)
-    assert back.b_table.values == STANDARD.b_table.values
+    obj = {"a_matrices": [{"rows": 3, "cols": 3,
+                           "re": [0.5, 0, 0, 0, 0.25, 0, 0, 0, 0.125]}],
+           "tau": {"1": 0.0, "11": 1.0}, "q": 1}
+    explicit = MomentData.from_json_obj(obj)
     x = a(1) + b(1) * a(1) * b(1)
-    assert cyclic_moment(x, back) == cyclic_moment(x, STANDARD)
+    assert cyclic_moment(x, explicit) == cyclic_moment(x, STANDARD)
 
 
 def test_moment_data_json_rejects_bad_tau_keys():
@@ -289,7 +297,7 @@ def test_sign_pattern_degenerate_a_is_all_zero():
     # With a = 0 every product vanishes; the report shows the all-zero
     # pattern and correctly fails the expected tables.
     data = MomentData(
-        AFamilyMoments((np.zeros((2, 2)),)), BMomentTable.orthonormal(1)
+        AFamilyMoments((np.zeros((2, 2)),)), OrthonormalState(1)
     )
     report = sign_pattern_check(data)
     zero = (("0",) * 4,) * 4
@@ -299,7 +307,7 @@ def test_sign_pattern_degenerate_a_is_all_zero():
 
 
 def test_gram_schmidt_orthonormal_family_is_identity():
-    coeffs = gram_schmidt(np.eye(2), np.zeros(2))
+    coeffs = ref.gram_schmidt(np.eye(2), np.zeros(2))
     expected = np.hstack([np.zeros((2, 1)), np.eye(2)])
     assert np.allclose(coeffs, expected, atol=1e-12)
 
@@ -324,18 +332,14 @@ def test_quotient_check_builds_one_quotient_record(monkeypatch):
 
 
 def test_tau_keys_name_indices_of_ten_and_up():
-    data = MomentData(AFamilyMoments.from_eigenvalues(ref.EIGS),
-                      BMomentTable.orthonormal(10, max_len=2))
-    obj = data.to_json_obj()
-    assert obj["tau"]["1,10"] == 0.0 and obj["tau"]["10,10"] == 1.0
-    assert obj["tau"]["10,"] == 0.0 and obj["tau"]["99"] == 1.0
-    assert "110" not in obj["tau"] and "10" not in obj["tau"]
-    back = MomentData.from_json_obj(obj)
-    assert back.b_table.values == data.b_table.values
-    assert back.q == 10
-    # Tables with indices below 10 keep their digit keys.
-    assert all(key.isdigit() for key in STANDARD.to_json_obj()["tau"])
     base = {"a_matrices": [{"rows": 1, "cols": 1, "re": [1.0]}]}
+    wide = MomentData.from_json_obj(json.loads(
+        '{"a_matrices": [{"rows": 1, "cols": 1, "re": [1.0]}], "q": 10,'
+        ' "tau": {"1,10": 0.0, "10,1": 0.0, "10,10": 1.0, "10,": 0.0, "99": 1.0}}'
+    ))
+    assert wide.q == 10
+    assert wide.b_table.values == {(1, 10): 0.0, (10, 1): 0.0, (10, 10): 1.0,
+                                   (10,): 0.0, (9, 9): 1.0}
     same = MomentData.from_json_obj({**base, "tau": {"1,2": 0.5, "2,1,": 0.5, "3,": 0.0}})
     assert same.b_table.values == {(1, 2): 0.5, (2, 1): 0.5, (3,): 0.0}
     for bad in ("10", "1,0", "01,2", "1,,2", "1, 2", ",1", ",", "1,2,,"):
@@ -344,3 +348,39 @@ def test_tau_keys_name_indices_of_ten_and_up():
     with pytest.raises(ValueError, match="twice"):
         MomentData.from_json_obj({**base, "tau": {"12": 0.5, "1,2": 0.5}})
 
+
+
+def _pauli_data(a_value=0.5):
+    """The Pauli matrices X, Y, Z as b1, b2, b3 under tr/2, runs of up to six.
+
+    They anticommute, so a run's value depends on the order of its
+    letters: tau(b1 b2) = i/2 tau(Z) = 0, but tau(b1 b2 b1 b2) = -1.
+    """
+    paulis = (np.array([[0, 1], [1, 0]], dtype=complex),
+              np.array([[0, -1j], [1j, 0]]),
+              np.array([[1, 0], [0, -1]], dtype=complex))
+    values = {}
+    for length in range(1, 7):
+        for run in itertools.product((1, 2, 3), repeat=length):
+            m = np.eye(2, dtype=complex)
+            for j in run:
+                m = m @ paulis[j - 1]
+            values[run] = np.trace(m) / 2
+    return MomentData(AFamilyMoments.from_eigenvalues([a_value]),
+                      BMomentTable(values, q=3))
+
+
+@pytest.mark.parametrize("word, cyclic, monotone", [
+    (b(1) * b(2) * a(1) * b(1) * b(2), -0.5, 0.0),
+    (a(1) * b(1) * b(2) * b(3) * a(1), 0.25j, 0.25j),
+    (a(1) * b(1) * b_centered(2) * b(1) * b(2) * a(1), -0.25, -0.25),
+    (b(3) * a(1) * b(1) * b(2), 0.5j, 0.0),
+], ids=["wrap-of-two-pairs", "inner-triple", "inner-centered", "wrap-of-three"])
+def test_anticommuting_law_sees_the_order_inside_a_run(word, cyclic, monotone):
+    # Hand values: XY = iZ, so XYXY = -1 and XYZ = i; a = 0.5 weighs
+    # 0.5 per a-letter.  Reversing or reordering a run changes a sign.
+    data = _pauli_data()
+    for fn, want in ((cyclic_moment, cyclic), (monotone_moment, monotone)):
+        assert abs(fn(word, data) - want) <= 1e-12
+        kind = "cyclic" if fn is cyclic_moment else "monotone"
+        assert abs(moment_via_quotient(word, data, kind) - want) <= 1e-12

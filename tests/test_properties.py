@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference import poly_isclose
 from monotensor.moments import (
     AFamilyMoments,
-    BMomentTable,
     MomentData,
+    OrthonormalState,
     cyclic_moment,
     moment_via_quotient,
     monotone_moment,
@@ -18,18 +19,16 @@ from monotensor.words import (
     NCPolynomial,
     center_expand,
     parse_polynomial,
-    poly_isclose,
     quotient_map,
 )
 
-# Two a-generators and an orthonormal pair of b-generators.  Runs of up to
-# six indices cover every state value a word of four atoms can need.
+# Two a-generators and an orthonormal pair of b-generators.
 DATA = MomentData(
     AFamilyMoments([
         np.diag([0.5, 0.25, 0.125]),
         np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.25], [0.0, 0.25, 0.0]]),
     ]),
-    BMomentTable.orthonormal(2, max_len=6),
+    OrthonormalState(2),
 )
 
 FUNCTIONALS = (

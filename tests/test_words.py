@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from monotensor.moments import BMomentTable
+from _reference import poly_isclose
+from monotensor.moments import BMomentTable, OrthonormalState
 from monotensor.words import (
     EXPANSION_CAP,
     CenteredRun,
@@ -17,12 +18,11 @@ from monotensor.words import (
     check_expansion,
     decode_word,
     parse_polynomial,
-    poly_isclose,
     quotient_map,
     split_runs,
 )
 
-ORTHO = BMomentTable.orthonormal(2)
+ORTHO = OrthonormalState(2)
 ZERO = NCPolynomial.zero()
 
 
