@@ -1,7 +1,9 @@
 """Monte Carlo checks of both functionals on one random matrix model.
 
 A word multiplies fixed corner blocks A_i with diagonal patterns B_j,
-each B conjugated by one Haar unitary per trial.  As the dimension
+each B conjugated by one Haar unitary per trial.  It is the symbolic
+layer's coded word (``a_i`` is ``i``, ``b_j`` is ``-j``), so the targets
+are the functionals on that very word.  As the dimension
 grows, the full trace of the word concentrates on its cyclic moment and
 the trace over a fixed number of top coordinates on its monotone
 moment, both taken on the families' moment data at that dimension.
@@ -14,8 +16,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
-from itertools import accumulate, groupby, repeat
+from functools import cached_property, reduce
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from . import linalg
 from .model import ENTRY_BYTES, _check_memory
 from .moments import AFamilyMoments, BMomentTable, MomentData, cyclic_moment, monotone_moment
 from .sampling import complex_gaussians, stream
-from .words import Letter, NCPolynomial, split_runs
+from .words import NCPolynomial, split_runs
 
 #: Largest |A-word trace| and normalized |b-power trace| a sweep accepts.
 MOMENT_BOUND = 100.0
@@ -92,7 +94,8 @@ class DiagPatternFamily:
 class HaarWordSpec:
     """A conjugation word plus the families and sweep parameters.
 
-    ``word`` is a tuple of ("A", i) / ("B", j) pairs with at least one A.
+    ``word`` is a coded word (``a_i`` is ``i``, ``b_j`` is ``-j``, as
+    :func:`parse_word` returns it) with at least one a-letter.
     ``l_rule`` "full" targets the cyclic functional of the word, "half"
     or a fixed int the monotone one.  "half" is rejected on a word that
     starts with a B: its limit is neither functional, and so is a fixed
@@ -111,21 +114,20 @@ class HaarWordSpec:
     seed: int = 7
 
     def __post_init__(self):
-        word = tuple((str(t).upper(), int(i)) for t, i in self.word)
-        object.__setattr__(self, "word", word)
-        if not any(tag == "A" for tag, _ in word):
+        a_indices, (lead, *_) = self.split
+        if not a_indices:
             raise ValueError("word needs at least one A")
-        if self.l_rule == "half" and word[0][0] == "B":
+        if self.l_rule == "half" and lead:
             raise ValueError("l='half' has no target for a word that starts with a B")
-        for tag, idx in word:
-            fams = self.a_families if tag == "A" else self.b_families
-            if not 1 <= idx <= len(fams):
-                raise ValueError(f"word letter {tag}{idx} has no family")
+        for x in self.word:
+            tag, fams = ("A", self.a_families) if x > 0 else ("B", self.b_families)
+            if not 1 <= abs(x) <= len(fams):
+                raise ValueError(f"word letter {tag}{abs(x)} has no family")
         if self.trials < 2:
             raise ValueError("need at least two trials for a standard error")
         if not self.n_list:
             raise ValueError("need at least one dimension")
-        if (word[0][0] == "B" and self.l_rule not in ("full", "half")
+        if (lead and self.l_rule not in ("full", "half")
                 and 2 * int(self.l_rule) >= min(self.n_list)):
             raise ValueError(
                 f"l={self.l_rule} on a word that starts with a B needs "
@@ -143,8 +145,8 @@ class HaarWordSpec:
             # and the m x m blocks.  Every row keeps its trial values, and
             # rate_check's resamples copy one row (about two entries a trial).
             _check_memory(
-                ENTRY_BYTES * (6 * n * m + (len(self.b_families) + len(word)) * n // 2
-                               + (len(self.a_families) + len(word)) * m * m
+                ENTRY_BYTES * (6 * n * m + (len(self.b_families) + len(self.word)) * n // 2
+                               + (len(self.a_families) + len(self.word)) * m * m
                                + (len(self.n_list) + 2) * self.trials),
                 f"a Haar sweep of {self.trials} trials at n={n}",
             )
@@ -158,6 +160,11 @@ class HaarWordSpec:
         if not 1 <= l <= n:
             raise ValueError(f"l={l} out of range for n={n}")
         return l
+
+    @cached_property
+    def split(self) -> tuple:
+        """``(a_indices, runs)`` of the word, by :func:`monotensor.words.split_runs`."""
+        return split_runs(self.word)
 
     @property
     def rank(self) -> int:
@@ -173,41 +180,49 @@ class HaarWordSpec:
         reads the top ``l``: ``max(l, r)`` rows.
         """
         l = self.resolve_l(n)
-        if self.word[0][0] == "A" or l == n:
+        if not self.split[1][0] or l == n:
             return self.rank
         return max(l, self.rank)
 
 
 def parse_word(text: str) -> tuple:
-    """Parse 'ABAB' or 'B2 A1 B1' style patterns (default index 1)."""
+    """Parse 'ABAB' or 'B2 A1 B1' style patterns (default index 1) into a
+    coded word: ``A<i>`` is ``i`` and ``B<j>`` is ``-j``."""
     compact = text.replace(" ", "")
     if not re.fullmatch(r"(?:[ABab]\d*)+", compact):
         raise ValueError(f"cannot parse word pattern {text!r}")
-    return tuple(
-        (m.group(1).upper(), int(m.group(2)) if m.group(2) else 1)
-        for m in re.finditer(r"([ABab])(\d*)", compact)
-    )
+    word = []
+    for tag, digits in re.findall(r"([AB])(\d*)", compact.upper()):
+        idx = int(digits or 1)
+        if idx == 0:  # codes neither family
+            raise ValueError(f"word letter {tag}0 has no family")
+        word.append(idx if tag == "A" else -idx)
+    return tuple(word)
 
 
 def realize_families(spec: HaarWordSpec, n: int, m: int):
-    """The a-blocks padded to m x m and the length-n b-diagonals."""
+    """The a-blocks padded to m x m and the realized product of each b-run.
+
+    The second value maps each run the word and its functionals read
+    (lead, inner runs, trail, and the trail joined to the lead, which is
+    the run of a full trace rotated to start at an A) to the length-n
+    diagonal of its b's, multiplied left to right.
+    """
     a_mats = [fam.realize(m) for fam in spec.a_families]
     b_diags = [fam.realize(n) for fam in spec.b_families]
     _check_moment_bounds(spec, n, a_mats, b_diags)
-    return a_mats, b_diags
+    runs = spec.split[1]
+    return a_mats, {
+        run: reduce(np.multiply, (b_diags[-x - 1] for x in run))
+        for run in {*runs, runs[-1] + runs[0]} - {()}
+    }
 
 
 def _check_moment_bounds(spec: HaarWordSpec, n: int, a_mats, b_diags) -> None:
     c = MOMENT_BOUND
-    a_word = [idx for tag, idx in spec.word if tag == "A"]
-    if a_word:
-        prod = a_mats[a_word[0] - 1]
-        for i in a_word[1:]:
-            prod = prod @ a_mats[i - 1]
-        if abs(np.trace(prod)) > c:
-            raise ValueError(
-                f"A-word trace {abs(np.trace(prod)):.3g} exceeds the bound {c}"
-            )
+    trace = abs(np.trace(reduce(np.matmul, (a_mats[i - 1] for i in spec.split[0]))))
+    if trace > c:
+        raise ValueError(f"A-word trace {trace:.3g} exceeds the bound {c}")
     for j, d in enumerate(b_diags, start=1):
         for power in accumulate(repeat(d, len(spec.word)), np.multiply):
             if abs(power.sum()) / n > c:
@@ -215,56 +230,47 @@ def _check_moment_bounds(spec: HaarWordSpec, n: int, a_mats, b_diags) -> None:
 
 
 def word_value(spec: HaarWordSpec, n: int, l: int, rows: np.ndarray,
-               a_mats=None, b_diags=None) -> complex:
+               a_mats, run_diags) -> complex:
     """Truncated diagonal sum of the realized word at one sample of U.
 
     ``rows`` holds the top ``m`` rows of U, ``m`` from
-    :meth:`HaarWordSpec.rows_needed`.  A full trace (``l = n``) is
-    rotated to start at an A.  Each maximal b-run, conjugated by U, is
-    one diagonal ``d`` (the product of its b's); its top m x m corner is
-    ``(rows * d) @ rows^H``.  A run is never split into its letters,
+    :meth:`HaarWordSpec.rows_needed`, and ``a_mats`` and ``run_diags``
+    come from :func:`realize_families`.  A full trace (``l = n``) is
+    rotated to start at an A, which joins the trail to the lead.  Each
+    b-run, conjugated by U, is its diagonal ``d``; its top m x m corner
+    is ``(rows * d) @ rows^H``.  A run is never split into its letters,
     because ``rows^H rows`` is not the identity.  The value is the trace
     over the first ``min(l, m)`` coordinates of the m x m product.
     """
     m = rows.shape[0]
-    if a_mats is None or b_diags is None:
-        a_mats, b_diags = realize_families(spec, n, m)
-    word = spec.word
+    a_indices, (lead, *runs) = spec.split
     if l == n:
-        first_a = next(i for i, (tag, _) in enumerate(word) if tag == "A")
-        word = word[first_a:] + word[:first_a]
+        lead, runs[-1] = (), runs[-1] + lead
     rows_h = rows.conj().T
     factors = []
-    for is_a, letters in groupby(word, key=lambda letter: letter[0] == "A"):
-        if is_a:
-            factors.extend(a_mats[idx - 1] for _, idx in letters)
-        else:
-            d = reduce(np.multiply, (b_diags[idx - 1] for _, idx in letters))
-            factors.append((rows * d) @ rows_h)
+    # Each run follows the a-letter before it; the lead follows none.
+    for i, run in zip((None, *a_indices), (lead, *runs)):
+        if i is not None:
+            factors.append(a_mats[i - 1])
+        if run:
+            factors.append((rows * run_diags[run]) @ rows_h)
     return linalg.partial_trace(reduce(np.matmul, factors), min(l, m))
 
 
-def _target(spec: HaarWordSpec, n: int, l: int, a_mats, b_diags) -> complex:
+def _target(spec: HaarWordSpec, n: int, l: int, a_mats, run_diags) -> complex:
     """The cyclic moment of the word for ``l_rule`` "full", else its monotone one.
 
     The a-data are the corner blocks cut to their top ``min(l, r)``
     coordinates, ``r`` the largest block, which for diagonal families is
     the trace over the first ``l``.  The b-table holds the normalized
-    trace of the realized product of each run the functionals read:
-    lead, inner runs, trail, and trail joined to lead.
+    trace of each run's realized product.
     """
-    word = NCPolynomial.from_word(Letter(tag, idx) for tag, idx in spec.word)
-    _, runs = split_runs(*word.terms)
-    tau = {}
-    for run in {*runs, runs[-1] + runs[0]} - {()}:
-        indices = tuple(-x for x in run)
-        product = reduce(np.multiply, (b_diags[j - 1] for j in indices))
-        tau[indices] = complex(product.sum()) / n
+    tau = {tuple(-x for x in run): complex(d.sum()) / n for run, d in run_diags.items()}
     m = min(l, spec.rank)
     data = MomentData(AFamilyMoments([mat[:m, :m] for mat in a_mats]),
-                      BMomentTable(tau, q=len(b_diags)))
+                      BMomentTable(tau, q=len(spec.b_families)))
     functional = cyclic_moment if spec.l_rule == "full" else monotone_moment
-    return functional(word, data)
+    return functional(NCPolynomial._coded({spec.word: 1.0 + 0.0j}), data)
 
 
 @dataclass
@@ -321,12 +327,12 @@ def mc_estimate(spec: HaarWordSpec) -> McReport:
         n = int(n)
         l = spec.resolve_l(n)
         m = spec.rows_needed(n)
-        a_mats, b_diags = realize_families(spec, n, m)
-        target = _target(spec, n, l, a_mats, b_diags)
+        a_mats, run_diags = realize_families(spec, n, m)
+        target = _target(spec, n, l, a_mats, run_diags)
         values = np.empty(spec.trials, dtype=np.complex128)
         for t in range(spec.trials):
             u_rows = sample_haar_rows(n, m, stream(spec.seed, n, t))
-            values[t] = word_value(spec, n, l, u_rows, a_mats, b_diags)
+            values[t] = word_value(spec, n, l, u_rows, a_mats, run_diags)
         rows.append(McRow(n=n, l=l, values=values, target=target))
     return McReport(spec=spec, rows=rows)
 

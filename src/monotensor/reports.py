@@ -132,21 +132,6 @@ def json_obj_for(report):
                 {"n": n, "l": l, "value": [v.real, v.imag]} for n, l, v in report.rows
             ],
         }
-    if isinstance(report, McReport):
-        return {
-            "rows": [
-                {
-                    "n": r.n,
-                    "l": r.l,
-                    "mean": [r.mean.real, r.mean.imag],
-                    "stderr": r.stderr,
-                    "target": [r.target.real, r.target.imag],
-                    "abs_err": r.abs_err,
-                    "mad": r.mad,
-                }
-                for r in report.rows
-            ]
-        }
     if isinstance(report, ExamplePair):
         return {
             "x_eigenvalues": [float(x) for x in report.x_eigenvalues],

@@ -49,9 +49,9 @@ def complex_gaussians(rng: np.random.Generator, shape) -> np.ndarray:
     return np.sqrt(-np.log(u1)) * np.exp(2j * np.pi * u2)
 
 
-def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = complex_gaussians(rng, (dim, dim))
-    return scale * (g + g.conj().T) / 2.0
+    return (g + g.conj().T) / 2.0
 
 
 def random_coeff(rng: np.random.Generator) -> complex:
@@ -59,11 +59,10 @@ def random_coeff(rng: np.random.Generator) -> complex:
     return np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
 
 
-def random_alternating_word(rng: np.random.Generator, p: int, q: int,
-                            min_a: int = 1, max_a: int = 3) -> tuple:
-    """A word with single b-letters (or nothing) between, before, and
-    after its a-letters."""
-    m = int(rng.integers(min_a, max_a + 1))
+def random_alternating_word(rng: np.random.Generator, p: int, q: int) -> tuple:
+    """A word of one to three a-letters with single b-letters (or nothing)
+    between, before, and after them."""
+    m = int(rng.integers(1, 4))
     atoms: list[Letter] = []
     for slot in range(m + 1):
         if q >= 1 and rng.random() < 0.7:
@@ -73,13 +72,12 @@ def random_alternating_word(rng: np.random.Generator, p: int, q: int,
     return tuple(atoms)
 
 
-def random_alternating_poly(rng: np.random.Generator, p: int, q: int,
-                            max_terms: int = 6, min_a: int = 1,
-                            max_a: int = 3) -> NCPolynomial:
-    n_terms = int(rng.integers(1, max_terms + 1))
+def random_alternating_poly(rng: np.random.Generator, p: int, q: int) -> NCPolynomial:
+    """One to six random alternating words, each with a coefficient in the unit disc."""
+    n_terms = int(rng.integers(1, 7))
     terms: dict[tuple, complex] = {}
     for _ in range(n_terms):
-        w = random_alternating_word(rng, p, q, min_a=min_a, max_a=max_a)
+        w = random_alternating_word(rng, p, q)
         terms[w] = terms.get(w, 0.0) + random_coeff(rng)
     poly = NCPolynomial(terms)
     if not poly:
@@ -88,12 +86,12 @@ def random_alternating_poly(rng: np.random.Generator, p: int, q: int,
     return poly
 
 
-def random_model_spec(rng: np.random.Generator, p_max: int = 2, q_max: int = 3,
-                      n_max: int = 6, max_terms: int = 6) -> ModelSpec:
-    """A random spec: Hermitian a-matrices plus an alternating polynomial."""
-    p = int(rng.integers(1, p_max + 1))
-    q = int(rng.integers(1, q_max + 1))
-    n = int(rng.integers(2, n_max + 1))
+def random_model_spec(rng: np.random.Generator) -> ModelSpec:
+    """A random spec: p in 1..2 Hermitian a-matrices of size n in 2..6,
+    q in 1..3, and an alternating polynomial."""
+    p = int(rng.integers(1, 3))
+    q = int(rng.integers(1, 4))
+    n = int(rng.integers(2, 7))
     mats = tuple(random_hermitian(rng, n) for _ in range(p))
-    poly = random_alternating_poly(rng, p, q, max_terms=max_terms, min_a=1, max_a=3)
+    poly = random_alternating_poly(rng, p, q)
     return ModelSpec(n=n, q=q, a_matrices=mats, poly=poly)

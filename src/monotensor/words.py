@@ -195,7 +195,7 @@ class NCPolynomial:
     @classmethod
     def _coded(cls, terms: dict) -> "NCPolynomial":
         """Trusted constructor: coded words and complex coefficients that
-        this module built itself.  Prunes exact zeros and nothing else."""
+        the package built itself.  Prunes exact zeros and nothing else."""
         poly = cls.__new__(cls)
         poly.terms = {w: c for w, c in terms.items() if c != 0}
         return poly

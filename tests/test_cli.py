@@ -297,6 +297,17 @@ def test_haar_fixed_l_near_n_on_a_leading_b_exits_2_before_any_trial(runner, mon
     assert spec.rows_needed(32) == 15
 
 
+def test_haar_b_power_above_the_bound_exits_2_before_any_trial(runner, monkeypatch, tmp_path):
+    # ABAB's A-word trace is 0.33, far under the bound, but b = +-4 at
+    # weights 1/2 has a mean b^4 of 256: only the b-power bound rejects it.
+    monkeypatch.setattr(haar_module, "sample_haar_rows", _no_trial)
+    fam = tmp_path / "family.json"
+    fam.write_text(json.dumps({"b": [{"values": [4, -4], "weights": [0.5, 0.5]}]}))
+    result = runner.invoke(main, ["haar", "--word", "ABAB", "--family", str(fam)])
+    assert result.exit_code == 2, result.output
+    assert "normalized trace of a b1-power exceeds 100.0" in result.output
+
+
 @pytest.mark.parametrize("args", [
     ["--n", "1000000000"],
     ["--word", "BAB", "--l", "40000", "--n", "100000"],

@@ -23,7 +23,7 @@ from monotensor.model import (
 )
 from monotensor.moments import cyclic_moment, monotone_moment
 from monotensor.sampling import random_model_spec, stream
-from monotensor.words import CenteredRun, Letter, NCPolynomial
+from monotensor.words import CenteredRun, Letter, NCPolynomial, parse_polynomial
 
 SEED = 20260819
 
@@ -110,6 +110,17 @@ def test_words_map_to_label_blocks():
     assert np.array_equal(model.poly_matrix, want)
     with pytest.raises(ValueError, match=r"l must lie in \[0, 40\]"):
         evaluate_state(model, 1, ("partial", 41))
+
+
+def test_partial_states_cut_inside_a_nonzero_label_block():
+    # n = 4 > base = 2: each label's block of the full space is n wide but
+    # holds only base nonzero positions, so a cut l inside a later label's
+    # block keeps min(base, l - label * n) of them.  The b2 term fills the
+    # block of a nonzero label.
+    spec = ModelSpec(n=4, q=2, a_matrices=(np.array([[0.5, 0.25], [0.25, -0.75]]),),
+                     poly=parse_polynomial("a1 + b1 a1 b1 + 0.5 b2 a1 b1"))
+    assert (build_model(spec).base, spec.dim) == (2, 16)
+    _compare_states(spec, 4, _close)
 
 
 def test_limit_sweep_matches_dense_partial_traces():

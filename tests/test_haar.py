@@ -16,6 +16,7 @@ from monotensor.haar import (
     mc_estimate,
     parse_word,
     rate_check,
+    realize_families,
     sample_haar_rows,
     word_value,
 )
@@ -80,13 +81,15 @@ def test_diag_pattern_counts():
 
 
 def test_parse_word():
-    assert parse_word("ABAB") == (("A", 1), ("B", 1), ("A", 1), ("B", 1))
-    assert parse_word("B2 A1 B1") == (("B", 2), ("A", 1), ("B", 1))
-    assert parse_word("a2b1") == (("A", 2), ("B", 1))
+    assert parse_word("ABAB") == (1, -1, 1, -1)
+    assert parse_word("B2 A1 B1") == (-2, 1, -1)
+    assert parse_word("a2b1") == (2, -1)
     with pytest.raises(ValueError):
         parse_word("AXB")
     with pytest.raises(ValueError):
         parse_word("")
+    with pytest.raises(ValueError, match="word letter A0 has no family"):
+        parse_word("A0B")  # 0 codes neither family
 
 
 def test_word_shape_validation():
@@ -176,7 +179,7 @@ def test_word_value_identity_unitary():
     bm = B_BAL.realize(n)
     direct = np.trace(a @ np.diag(bm))
     rows = np.eye(n, dtype=np.complex128)[:3]
-    got = word_value(spec, n, n, rows, [A_FAM.realize(3)], [bm])
+    got = word_value(spec, n, n, rows, [A_FAM.realize(3)], {(-1,): bm})
     assert abs(got - direct) <= 1e-12
 
 
@@ -186,8 +189,8 @@ def _dense_word_value(spec, n, l, u):
     b_mats = [np.diag(fam.realize(n)) for fam in spec.b_families]
     uh = u.conj().T
     factors = (
-        a_mats[idx - 1] if tag == "A" else u @ b_mats[idx - 1] @ uh
-        for tag, idx in spec.word
+        a_mats[x - 1] if x > 0 else u @ b_mats[-x - 1] @ uh
+        for x in spec.word
     )
     return linalg.partial_trace(reduce(np.matmul, factors), l)
 
@@ -209,7 +212,7 @@ def test_word_value_matches_the_dense_oracle(word):
             assert m == (max(l, 3) if word[0] == "B" and rule != "full" else 3)
             for t in range(3):
                 u = sample_haar_rows(n, n, stream(1, n, t))
-                got = word_value(spec, n, l, u[:m])
+                got = word_value(spec, n, l, u[:m], *realize_families(spec, n, m))
                 want = _dense_word_value(spec, n, l, u)
                 assert abs(got - want) <= 1e-12, (n, rule, t)
 
@@ -330,7 +333,8 @@ def test_word_value_identity_b_reduces_to_a_trace():
     )
     u = sample_haar_rows(8, 8, stream(5, 8, 0))
     # Conjugating the identity does nothing, so the value is Tr(A).
-    assert abs(word_value(spec, 8, 8, u) - 0.875) <= 1e-12
+    got = word_value(spec, 8, 8, u, *realize_families(spec, 8, 8))
+    assert abs(got - 0.875) <= 1e-12
 
 
 def test_mc_first_moment_is_exact():

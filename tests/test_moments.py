@@ -1,9 +1,12 @@
 """Moment evaluation: tables, the two functionals, and sign patterns."""
 import itertools
 import json
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _reference as ref
 from monotensor import words
@@ -21,7 +24,16 @@ from monotensor.moments import (
     sign_pattern_check,
 )
 from monotensor.sampling import random_alternating_poly, random_model_spec, stream
-from monotensor.words import IdealMembershipError, MissingMomentError, a, b, b_centered
+from monotensor.words import (
+    CenteredRun,
+    IdealMembershipError,
+    Letter,
+    MissingMomentError,
+    NCPolynomial,
+    a,
+    b,
+    b_centered,
+)
 
 STANDARD = MomentData.standard(ref.EIGS)
 
@@ -66,6 +78,21 @@ def test_orthonormal_table_parity_rule():
     # The rule holds at any length and any q.
     assert table.value((1, 2) * 20) == 1.0 and table.value((2,) * 41) == 0.0
     assert OrthonormalState(1000).value((1000, 7, 1000, 7)) == 1.0
+
+
+def test_orthonormal_state_is_the_trace_of_the_flips():
+    # Every run of one to six letters at q <= 3 (1,224 runs) takes the
+    # value tr/2^q of the product of its flip factors, exactly.
+    checked = 0
+    for q in (1, 2, 3):
+        state = OrthonormalState(q)
+        flips = [ref.flip_factor(q, j) for j in range(1, q + 1)]
+        for length in range(1, 7):
+            for run in itertools.product(range(1, q + 1), repeat=length):
+                product = reduce(np.matmul, (flips[j - 1] for j in run))
+                assert state.value(run) == np.trace(product) / 2**q, run
+                checked += 1
+    assert checked == 1224
 
 
 def test_table_missing_entry_raises():
@@ -384,3 +411,48 @@ def test_anticommuting_law_sees_the_order_inside_a_run(word, cyclic, monotone):
         assert abs(fn(word, data) - want) <= 1e-12
         kind = "cyclic" if fn is cyclic_moment else "monotone"
         assert abs(moment_via_quotient(word, data, kind) - want) <= 1e-12
+
+
+# Words of two or three b-atoms of at most two letters and one or two
+# a1's: every run, the trail joined to the lead included, has at most six
+# letters and so lies in the Pauli table.
+PAULI_B_ATOMS = st.sampled_from(
+    [Letter("B", j) for j in (1, 2, 3)]
+    + [CenteredRun(run) for run in ((1,), (2,), (3,), (1, 2), (2, 3), (3, 1), (2, 1))]
+)
+
+
+@st.composite
+def _pauli_words(draw):
+    word = draw(st.lists(PAULI_B_ATOMS, min_size=2, max_size=3))
+    for _ in range(draw(st.integers(1, 2))):
+        word.insert(draw(st.integers(0, len(word))), Letter("A", 1))
+    return tuple(word)
+
+
+PAULI_POLYS = st.dictionaries(
+    _pauli_words(), st.builds(complex, st.integers(-3, 3), st.integers(-3, 3)),
+    min_size=1, max_size=4,
+).map(NCPolynomial)
+PAULI = _pauli_data()
+
+
+@settings(max_examples=50, deadline=None)
+@given(PAULI_POLYS)
+def test_adjoint_conjugates_both_functionals(p):
+    # phi(p*) = conj phi(p) needs the adjoint to reverse every run, centered
+    # ones inside: the Pauli law sees the order of a run.
+    for fn in (cyclic_moment, monotone_moment):
+        assert abs(fn(p.adjoint(), PAULI) - fn(p, PAULI).conjugate()) <= 1e-12
+
+
+def test_adjoint_conjugates_a_pinned_polynomial():
+    # a1 (b1 b2)° b3 a1 + 0.5i b2 a1 (b3 b1)°
+    p = NCPolynomial({
+        (Letter("A", 1), CenteredRun((1, 2)), Letter("B", 3), Letter("A", 1)): 1.0,
+        (Letter("B", 2), Letter("A", 1), CenteredRun((3, 1))): 0.5j,
+    })
+    assert abs(cyclic_moment(p, PAULI) - (-0.25 + 0.25j)) <= 1e-12
+    assert abs(cyclic_moment(p.adjoint(), PAULI) - (-0.25 - 0.25j)) <= 1e-12
+    assert abs(monotone_moment(p, PAULI) - 0.25j) <= 1e-12
+    assert abs(monotone_moment(p.adjoint(), PAULI) + 0.25j) <= 1e-12
